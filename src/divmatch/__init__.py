@@ -15,7 +15,7 @@ from .bench import (GeneratorConfig, TrialBatch, TrialRow, gen_instance,
 from .errors import (ConfigError, DivMatchError, InstanceError,
                      InternalError, MatchingError, SizeCapError)
 from .exact import solve_diverse_exact, warm_start
-from .greedy import right_constrained_greedy, solve_diverse_greedy
+from .greedy import solve_diverse_greedy
 from .instance import (DegreeBounds, Instance, Matching, check_matching,
                        is_feasible_bounds, load_instance, load_matching,
                        save_instance, save_matching, transform_max_to_min)
@@ -45,7 +45,7 @@ __all__ = [
     "enumerate_pod", "gen_instance", "is_feasible_bounds", "lift_solution",
     "load_instance", "load_matching", "node_bound_term", "node_entropy",
     "pod_lower_bound", "price_of_diversity", "quadratic_form_cost",
-    "reduce_to_circulation", "right_constrained_greedy", "run_bounds_sweep",
+    "reduce_to_circulation", "run_bounds_sweep",
     "run_cluster_sweep", "run_scaling", "save_instance", "save_matching",
     "scaling_csv", "solve_circulation", "solve_diverse_exact",
     "solve_diverse_greedy", "solve_min_weight", "total_weight",

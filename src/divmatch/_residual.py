@@ -1,0 +1,120 @@
+"""Residual state of a partial selection, shared by the diverse solvers.
+
+Greedy and branch and bound both ask of a partial edge set which nodes
+still owe edges, which edges can still be added, whether the residual
+lower bounds can still be met and what the next edge would cost.  An
+edge is taken, forbidden (by a branching decision) or open; closed
+marks taken or forbidden edges, so for greedy, which never forbids,
+closed equals taken.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .instance import Instance
+from .objective import ClusterSums
+
+
+class Residual:
+    """Masks, degrees and cluster sums of one partial selection.
+
+    The bound arrays are built once; load() swaps the selection.
+    """
+
+    __slots__ = ("inst", "l_lo", "l_hi", "r_lo", "r_hi", "taken", "closed",
+                 "deg_l", "deg_r", "sums")
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        b = inst.bounds
+        self.l_lo = np.array(b.l_lo, dtype=np.int64)
+        self.l_hi = np.array(b.l_hi, dtype=np.int64)
+        self.r_lo = np.array(b.r_lo, dtype=np.int64)
+        self.r_hi = np.array(b.r_hi, dtype=np.int64)
+        empty = np.zeros((inst.m, inst.n), dtype=bool)
+        self.load(empty, empty)
+
+    def load(self, taken: np.ndarray, forbidden: np.ndarray) -> "Residual":
+        """Reset to the given masks; the taken mask is kept, not copied."""
+        self.taken = taken
+        self.closed = taken | forbidden
+        self.deg_l = taken.sum(axis=1, dtype=np.int64)
+        self.deg_r = taken.sum(axis=0, dtype=np.int64)
+        # row-major add order, so the sums are the same floats every time
+        self.sums = ClusterSums(self.inst, zip(*np.nonzero(taken)))
+        return self
+
+    def take(self, i: int, j: int) -> float:
+        """Select edge (i, j); returns its gain."""
+        self.taken[i, j] = True
+        self.closed[i, j] = True
+        self.deg_l[i] += 1
+        self.deg_r[j] += 1
+        return self.sums.add(i, j)
+
+    def untake(self, i: int, j: int) -> None:
+        self.taken[i, j] = False
+        self.closed[i, j] = False
+        self.deg_l[i] -= 1
+        self.deg_r[j] -= 1
+        self.sums.remove(i, j)
+
+    def forbid(self, i: int, j: int) -> None:
+        self.closed[i, j] = True
+
+    def unforbid(self, i: int, j: int) -> None:
+        self.closed[i, j] = False
+
+    def owing(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the left and right nodes below their lower bounds."""
+        return self.deg_l < self.l_lo, self.deg_r < self.r_lo
+
+    def usable(self) -> np.ndarray:
+        """Open edges whose endpoints both sit under their upper bounds."""
+        out = ~self.closed
+        out &= (self.deg_l < self.l_hi)[:, None]
+        out &= (self.deg_r < self.r_hi)[None, :]
+        return out
+
+    def counting_feasible(self, usable: np.ndarray | None = None) -> bool:
+        """Necessary conditions for completing all lower bounds.
+
+        Each side's total need must fit in the other side's spare
+        capacity, and each owing node must have at least as many open
+        edges to nodes with spare capacity as it owes.  usable, when
+        given, is this state's usable(); on owing nodes, which are under
+        their upper bounds, it counts the same edges.
+        """
+        need_l = np.maximum(self.l_lo - self.deg_l, 0)
+        need_r = np.maximum(self.r_lo - self.deg_r, 0)
+        if need_l.sum() > (self.r_hi - self.deg_r).sum():
+            return False
+        if need_r.sum() > (self.l_hi - self.deg_l).sum():
+            return False
+        if need_l.any():
+            avail = usable if usable is not None else (
+                ~self.closed & (self.deg_r < self.r_hi)[None, :])
+            if (need_l > avail.sum(axis=1)).any():
+                return False
+        if need_r.any():
+            avail = usable if usable is not None else (
+                ~self.closed & (self.deg_l < self.l_hi)[:, None])
+            if (need_r > avail.sum(axis=0)).any():
+                return False
+        return True
+
+    def guard(self, i: int, j: int) -> bool:
+        """Would taking (i, j) keep the counting check alive?
+
+        Leaves the cluster sums alone: they do not enter the check, and
+        every sums mutation counts toward a from-scratch resync.
+        """
+        self.closed[i, j] = True
+        self.deg_l[i] += 1
+        self.deg_r[j] += 1
+        ok = self.counting_feasible()
+        self.closed[i, j] = False
+        self.deg_l[i] -= 1
+        self.deg_r[j] -= 1
+        return ok

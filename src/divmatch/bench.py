@@ -70,6 +70,18 @@ def gen_instance(cfg: GeneratorConfig) -> Instance:
     return Instance(weights, clusters, cfg.k, bounds)
 
 
+def _csv_table(header: str, rows: list[dict]) -> str:
+    """CSV of dict rows in header order: None empty, floats by repr."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return repr(v) if isinstance(v, float) else str(v)
+
+    cols = header.split(",")
+    lines = [header] + [",".join(cell(row[c]) for c in cols) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _placeholder_row(instance_id: str, inst: Instance, base_rep,
                      div_rep) -> MetricsReport:
     """Row for a trial where a solver found no matching."""
@@ -149,20 +161,7 @@ class TrialBatch:
         return out
 
     def to_summary_csv(self) -> str:
-        cols = self.SUMMARY_HEADER.split(",")
-        lines = [self.SUMMARY_HEADER]
-        for row in self.summary():
-            cells = []
-            for c in cols:
-                v = row[c]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return _csv_table(self.SUMMARY_HEADER, self.summary())
 
 
 def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
@@ -275,17 +274,4 @@ def run_scaling(sizes: Sequence[int] = (25, 50, 100, 200), n: int = 10,
 
 
 def scaling_csv(rows: list[dict]) -> str:
-    cols = SCALING_HEADER.split(",")
-    lines = [SCALING_HEADER]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row[c]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv_table(SCALING_HEADER, rows)

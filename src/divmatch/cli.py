@@ -87,17 +87,20 @@ def _verify_against_oracle(alg: str, inst, rep) -> str:
     if oracle.status == INFEASIBLE:
         raise InternalError("solver returned a matching on an instance the "
                             "oracle calls infeasible")
+    # tolerances relative to the weight sum (its square for the cost)
+    scale = float(inst.weights.sum())
+    tol_w, tol_d = 1e-9 * scale, 1e-9 * scale * scale
     if alg == "wbm":
-        if abs(rep.total_weight - oracle.total_weight) > 1e-9:
+        if abs(rep.total_weight - oracle.total_weight) > tol_w:
             raise InternalError(
                 f"weight optimum mismatch: solver {rep.total_weight}, "
                 f"oracle {oracle.total_weight}")
     elif rep.status == OPTIMAL:
-        if abs(rep.diversity_cost - oracle.diversity_cost) > 1e-9:
+        if abs(rep.diversity_cost - oracle.diversity_cost) > tol_d:
             raise InternalError(
                 f"diversity optimum mismatch: solver {rep.diversity_cost}, "
                 f"oracle {oracle.diversity_cost}")
-    elif rep.diversity_cost < oracle.diversity_cost - 1e-9:
+    elif rep.diversity_cost < oracle.diversity_cost - tol_d:
         raise InternalError(
             "solver value beats the exhaustive optimum; impossible")
     return "ok"

@@ -1,6 +1,6 @@
 """Exact minimization of the cluster concentration cost.
 
-Two routes share the public entry point:
+solve_diverse_exact picks one of two routes by Instance.right_only.
 
 Right-constrained instances (no left lower bounds, left upper bounds at
 least n) decompose: right nodes share no binding constraint, and because
@@ -10,15 +10,20 @@ the cheapest t edges are always the best t edges, so a small dynamic
 program over per-cluster take counts finds the node's optimum exactly.
 
 Everything else runs best-first branch and bound over edge decisions.
-A search node fixes some edges in and some out; branching picks the
-heaviest undecided edge incident to an owing node.  The lower bound is
-the committed cost plus an optimistic completion estimate: every owing
-node must still add d edges, each costing at least its marginal gain
-against the committed cluster sums, so the d cheapest such gains sum to
-a valid floor (taken per side, then the larger side, since one edge can
-serve both sides at once).  Because the objective is monotone, a node
-whose lower bounds are all met is a complete candidate solution; its
-committed edge set is the incumbent candidate and the subtree closes.
+A search node fixes some edges in and some out.  A popped node is
+replayed from its decision chain into the residual state the greedy
+solver also uses (taken and closed masks, degrees, cluster sums); its
+two children are take/forbid steps on that state, undone after they are
+priced.  Branching picks the heaviest usable edge incident to an owing
+node.  The lower bound is the committed cost plus an optimistic
+completion estimate: every owing node must still add d edges, each
+costing at least its marginal gain against the committed cluster sums,
+so the d cheapest such gains sum to a valid floor (taken per side, then
+the larger side, since one edge can serve both sides at once).  Because
+the objective is monotone, a node whose lower bounds are all met is a
+complete candidate solution; its committed edge set is the incumbent
+candidate and the subtree closes.  Each node's branch edge is picked
+when the node is created, from the same usable-edge mask that priced it.
 
 The search is anytime: a greedy warm start seeds the incumbent, a
 millisecond budget stops the search early with the best incumbent, and
@@ -34,11 +39,12 @@ from typing import Optional
 
 import numpy as np
 
+from ._residual import Residual
 from .errors import InternalError
 from .greedy import solve_diverse_greedy
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
 from .minweight import solve_min_weight
-from .objective import ClusterSums, diversity_cost, total_weight
+from .objective import diversity_cost, total_weight
 from .report import FEASIBLE_INCUMBENT, INFEASIBLE, OPTIMAL, SolveReport
 
 FRONTIER_CAP = 10 ** 6
@@ -59,15 +65,10 @@ def warm_start(inst: Instance) -> Optional[Matching]:
     return rep.matching
 
 
-def _solve_right_constrained(inst: Instance) -> Optional[Matching]:
-    """Per-right-node exact optimum; None when the shape does not apply."""
+def _solve_right_constrained(inst: Instance) -> Matching:
+    """Per-right-node exact optimum of a right_only instance."""
     b = inst.bounds
-    if not inst.right_only:
-        return None
-    clusters = np.asarray(inst.clusters)
-    members: list[np.ndarray] = []
-    for c in range(inst.k):
-        members.append(np.nonzero(clusters == c)[0])
+    members = [np.nonzero(inst.clusters == c)[0] for c in range(inst.k)]
 
     edges: list[tuple[int, int]] = []
     for j in range(inst.n):
@@ -77,10 +78,8 @@ def _solve_right_constrained(inst: Instance) -> Optional[Matching]:
         col = inst.weights[:, j]
         # cheapest-first member order per cluster, stable on index
         order = [mem[np.argsort(col[mem], kind="stable")] for mem in members]
-        prefix = []
-        for lefts in order:
-            acc = np.concatenate(([0.0], np.cumsum(col[lefts])))
-            prefix.append(acc)
+        prefix = [np.concatenate(([0.0], np.cumsum(col[lefts])))
+                  for lefts in order]
         # dp[t] = cheapest concentration cost of t edges using clusters so far
         dp = np.full(demand + 1, math.inf)
         dp[0] = 0.0
@@ -104,8 +103,7 @@ def _solve_right_constrained(inst: Instance) -> Optional[Matching]:
         t = demand
         for c in range(inst.k - 1, -1, -1):
             take = int(takes[c][t])
-            for i in order[c][:take]:
-                edges.append((int(i), j))
+            edges.extend((int(i), j) for i in order[c][:take])
             t -= take
     return Matching(edges)
 
@@ -113,38 +111,31 @@ def _solve_right_constrained(inst: Instance) -> Optional[Matching]:
 class _Node:
     """One branch-and-bound search node (decision chain link)."""
 
-    __slots__ = ("parent", "edge", "take", "committed", "bound", "depth")
+    __slots__ = ("parent", "edge", "take", "committed", "bound", "depth",
+                 "branch")
 
-    def __init__(self, parent, edge, take, committed, bound, depth):
+    def __init__(self, parent, edge, take, committed, bound, depth, branch):
         self.parent = parent
         self.edge = edge          # flat index i * n + j, -1 at the root
         self.take = take
         self.committed = committed
         self.bound = bound
         self.depth = depth
+        self.branch = branch      # pick_branch_edge of this node's state
 
 
 class _Search:
-    """Mutable machinery for one branch-and-bound run."""
+    """Bound, branching rule and counters of one branch-and-bound run."""
 
-    def __init__(self, inst: Instance, prune_tol: float, frontier_cap: int):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.prune_tol = prune_tol
-        self.frontier_cap = frontier_cap
-        b = inst.bounds
-        self.l_lo = np.array(b.l_lo)
-        self.l_hi = np.array(b.l_hi)
-        self.r_lo = np.array(b.r_lo)
-        self.r_hi = np.array(b.r_hi)
+        self.res = Residual(inst)
         self.expanded = 0
         self.pruned = 0
 
-    # -- per-node context ------------------------------------------------
-
-    def rebuild(self, node: _Node):
-        """Walk the decision chain into explicit state arrays."""
-        inst = self.inst
-        m, n = inst.m, inst.n
+    def rebuild(self, node: _Node) -> Residual:
+        """Walk the decision chain into the residual state."""
+        m, n = self.inst.m, self.inst.n
         in_mask = np.zeros((m, n), dtype=bool)
         out_mask = np.zeros((m, n), dtype=bool)
         cur = node
@@ -152,94 +143,64 @@ class _Search:
             i, j = divmod(cur.edge, n)
             (in_mask if cur.take else out_mask)[i, j] = True
             cur = cur.parent
-        deg_l = in_mask.sum(axis=1)
-        deg_r = in_mask.sum(axis=0)
-        sums = ClusterSums(inst, zip(*np.nonzero(in_mask)))
-        return in_mask, out_mask, deg_l, deg_r, sums
+        return self.res.load(in_mask, out_mask)
 
-    def counting_feasible(self, in_mask, out_mask, deg_l, deg_r) -> bool:
-        """Necessary residual-feasibility conditions (prune when False)."""
-        need_l = np.maximum(self.l_lo - deg_l, 0)
-        need_r = np.maximum(self.r_lo - deg_r, 0)
-        if need_l.sum() > (self.r_hi - deg_r).sum():
-            return False
-        if need_r.sum() > (self.l_hi - deg_l).sum():
-            return False
-        decided = in_mask | out_mask
-        if need_l.any():
-            open_r = deg_r < self.r_hi
-            avail = (~decided & open_r[None, :]).sum(axis=1)
-            if (need_l > avail).any():
-                return False
-        if need_r.any():
-            open_l = deg_l < self.l_hi
-            avail = (~decided & open_l[:, None]).sum(axis=0)
-            if (need_r > avail).any():
-                return False
-        return True
+    def completion_bound(self, res: Residual, usable: np.ndarray) -> float:
+        """Optimistic extra cost to satisfy all residual lower bounds.
 
-    def completion_bound(self, in_mask, out_mask, deg_l, deg_r, sums) -> float:
-        """Optimistic extra cost to satisfy all residual lower bounds."""
-        inst = self.inst
-        w = inst.weights
-        clusters = np.asarray(inst.clusters)
-        decided = in_mask | out_mask
-        open_l = deg_l < self.l_hi
-        open_r = deg_r < self.r_hi
-        usable = ~decided & open_l[:, None] & open_r[None, :]
+        Called only on states that pass res.counting_feasible(usable), so
+        every owing node has at least as many usable edges as it owes.
+        """
+        w = self.inst.weights
+        clusters = self.inst.clusters
+        sums = res.sums.table
 
         total_r = 0.0
-        for j in np.nonzero(self.r_lo - deg_r > 0)[0]:
-            d = int(self.r_lo[j] - deg_r[j])
+        for j in np.nonzero(res.r_lo - res.deg_r > 0)[0]:
+            d = int(res.r_lo[j] - res.deg_r[j])
             rows = np.nonzero(usable[:, j])[0]
-            if len(rows) < d:
-                return math.inf
             col = w[rows, j]
-            cur = np.array([sums.cluster_weight(int(j), int(c))
-                            for c in clusters[rows]])
-            gains = col * col + (2.0 * col) * cur
+            gains = col * col + (2.0 * col) * sums[j, clusters[rows]]
             total_r += float(np.partition(gains, d - 1)[:d].sum())
 
         total_l = 0.0
-        for i in np.nonzero(self.l_lo - deg_l > 0)[0]:
-            d = int(self.l_lo[i] - deg_l[i])
+        for i in np.nonzero(res.l_lo - res.deg_l > 0)[0]:
+            d = int(res.l_lo[i] - res.deg_l[i])
             cols = np.nonzero(usable[i, :])[0]
-            if len(cols) < d:
-                return math.inf
             row = w[i, cols]
-            c = int(clusters[i])
-            cur = np.array([sums.cluster_weight(int(j), c) for j in cols])
-            gains = row * row + (2.0 * row) * cur
+            gains = row * row + (2.0 * row) * sums[cols, clusters[i]]
             total_l += float(np.partition(gains, d - 1)[:d].sum())
 
         return max(total_r, total_l)
 
-    def pick_branch_edge(self, in_mask, out_mask, deg_l, deg_r) -> int:
-        """Heaviest undecided edge at an owing node; -1 when none owed."""
-        decided = in_mask | out_mask
-        open_l = deg_l < self.l_hi
-        open_r = deg_r < self.r_hi
-        usable = ~decided & open_l[:, None] & open_r[None, :]
-        owing_r = deg_r < self.r_lo
-        owing_l = deg_l < self.l_lo
+    def pick_branch_edge(self, res: Residual, usable: np.ndarray) -> int:
+        """Heaviest usable edge at an owing node; -1 when none owed.
+
+        Called only on states that pass the counting check (the root
+        passes the exact feasibility check), so an owing node always
+        has a usable edge.
+        """
+        owing_l, owing_r = res.owing()
         if not owing_r.any() and not owing_l.any():
             return -1
         pool = usable & owing_r[None, :]
         if not pool.any():
             pool = usable & owing_l[:, None]
         if not pool.any():
-            return -2  # owing node with no usable edge: dead subtree
+            raise InternalError("owing node with no usable edge passed the "
+                                "counting check")
         w = np.where(pool, self.inst.weights, -math.inf)
         flat = int(np.argmax(w))  # ties: argmax takes the first, (i, j) lex
         return flat
 
 
-def solve_diverse_exact(inst: Instance, budget_ms: Optional[float] = None,
-                        frontier_cap: int = FRONTIER_CAP,
-                        prune_tol: float = PRUNE_TOL) -> SolveReport:
+def solve_diverse_exact(inst: Instance,
+                        budget_ms: Optional[float] = None) -> SolveReport:
     """Globally minimize the concentration cost under all degree bounds.
 
-    Completes with status optimal, or returns the best incumbent as
+    right_only instances take the per-right-node dynamic program
+    (telemetry fast_path True); all others branch and bound.  Completes
+    with status optimal, or returns the best incumbent as
     feasible_incumbent when budget_ms elapses first.  The budget is
     honored at branching granularity.
     """
@@ -252,8 +213,8 @@ def solve_diverse_exact(inst: Instance, budget_ms: Optional[float] = None,
             total_weight=None, diversity_cost=None,
             wall_time=time.perf_counter() - start, diagnostic=why)
 
-    fast = _solve_right_constrained(inst)
-    if fast is not None:
+    if inst.right_only:
+        fast = _solve_right_constrained(inst)
         ok, violations = check_matching(inst, fast)
         if not ok:
             raise InternalError("decomposed optimum violates bounds: "
@@ -272,9 +233,10 @@ def solve_diverse_exact(inst: Instance, budget_ms: Optional[float] = None,
     best_value = diversity_cost(inst, incumbent)
     updates = [(time.perf_counter() - start, best_value)]
 
-    search = _Search(inst, prune_tol, frontier_cap)
+    search = _Search(inst)
     n = inst.n
-    root = _Node(None, -1, False, 0.0, 0.0, 0)
+    root = _Node(None, -1, False, 0.0, 0.0, 0,
+                 search.pick_branch_edge(search.res, search.res.usable()))
     heap: list[tuple[float, int, int, _Node]] = []
     stack: list[_Node] = []
     seq = 0
@@ -289,57 +251,49 @@ def solve_diverse_exact(inst: Instance, budget_ms: Optional[float] = None,
             node = stack.pop()
         else:
             _, _, _, node = heapq.heappop(heap)
-        if node.bound >= best_value - prune_tol:
+        if node.bound >= best_value - PRUNE_TOL:
             search.pruned += 1
             continue
-        in_mask, out_mask, deg_l, deg_r, sums = search.rebuild(node)
+        res = search.rebuild(node)
         search.expanded += 1
 
-        flat = search.pick_branch_edge(in_mask, out_mask, deg_l, deg_r)
+        flat = node.branch
         if flat == -1:
             # all lower bounds met: the committed set is a full candidate
             match = Matching((int(i), int(j))
-                             for i, j in zip(*np.nonzero(in_mask)))
+                             for i, j in zip(*np.nonzero(res.taken)))
             value = diversity_cost(inst, match)
-            if value < best_value - prune_tol:
+            if value < best_value - PRUNE_TOL:
                 best_value = value
                 incumbent = match
                 updates.append((time.perf_counter() - start, value))
             continue
-        if flat == -2:
-            search.pruned += 1
-            continue
 
         i, j = divmod(flat, n)
         for take in (True, False):
-            mask = in_mask if take else out_mask
-            mask[i, j] = True
             if take:
-                deg_l[i] += 1
-                deg_r[j] += 1
-                gain = sums.add(i, j)
-            if search.counting_feasible(in_mask, out_mask, deg_l, deg_r):
-                committed = node.committed + (gain if take else 0.0)
-                bound = committed + search.completion_bound(
-                    in_mask, out_mask, deg_l, deg_r, sums)
-                if bound < best_value - prune_tol:
-                    child = _Node(node, flat, take, committed, bound,
-                                  node.depth + 1)
-                    seq += 1
-                    if len(heap) < frontier_cap:
-                        heapq.heappush(heap,
-                                       (bound, -child.depth, seq, child))
-                    else:
-                        stack.append(child)
+                committed = node.committed + res.take(i, j)
+            else:
+                committed = node.committed
+                res.forbid(i, j)
+            usable = res.usable()
+            bound = (committed + search.completion_bound(res, usable)
+                     if res.counting_feasible(usable) else math.inf)
+            if bound < best_value - PRUNE_TOL:
+                child = _Node(node, flat, take, committed, bound,
+                              node.depth + 1,
+                              search.pick_branch_edge(res, usable))
+                seq += 1
+                if len(heap) < FRONTIER_CAP:
+                    heapq.heappush(heap, (bound, -child.depth, seq, child))
                 else:
-                    search.pruned += 1
+                    stack.append(child)
             else:
                 search.pruned += 1
-            mask[i, j] = False
             if take:
-                deg_l[i] -= 1
-                deg_r[j] -= 1
-                sums.remove(i, j)
+                res.untake(i, j)
+            else:
+                res.unforbid(i, j)
 
     ok, violations = check_matching(inst, incumbent)
     if not ok:

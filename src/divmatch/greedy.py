@@ -2,11 +2,11 @@
 
 Builds the matching in rounds.  In round i every node's effective lower
 bound is min(i, its real lower bound); the round visits each node in a
-fixed order and, while a node sits below its effective bound, adds the
-feasible incident edge with the smallest marginal increase of the
-cluster concentration cost.  Candidates whose opposite endpoint is also
-below its effective bound are preferred, so one edge settles two debts
-where possible.
+fixed order, left block first, and, while a node sits below its
+effective bound, adds the feasible incident edge with the smallest
+marginal increase of the cluster concentration cost.  Candidates whose
+opposite endpoint is also below its effective bound are preferred, so
+one edge settles two debts where possible.
 
 Feasible means: not yet selected, both endpoints strictly under their
 upper bounds, and a counting check that the residual lower bounds can
@@ -15,6 +15,12 @@ not sufficient; a node left with no feasible incident edge is a dead
 end and the solve reports infeasible naming the stuck node rather than
 backtracking.
 
+When no left bound binds (Instance.right_only), right nodes never
+compete for left capacity, so solve_diverse_greedy picks each right
+node's edges on its own with one vectorized gain per step.  That path
+selects the same edges, in the same tie-break order, with the same
+number of gain evaluations as the round-based one.
+
 The result carries no optimality proof: status is feasible_incumbent.
 """
 
@@ -22,102 +28,47 @@ from __future__ import annotations
 
 import math
 import time
+from typing import Optional
 
 import numpy as np
 
+from ._residual import Residual
 from .errors import InternalError
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
-from .objective import ClusterSums, diversity_cost, total_weight
+from .objective import diversity_cost, total_weight
 from .report import FEASIBLE_INCUMBENT, INFEASIBLE, SolveReport
 
 
 class _GreedyState:
-    """Mutable selection state for one greedy run."""
+    """Candidate scan and pick rule of one round-based greedy run."""
 
     def __init__(self, inst: Instance):
-        self.inst = inst
-        m, n = inst.m, inst.n
-        b = inst.bounds
-        self.sel = np.zeros((m, n), dtype=bool)
-        self.deg_l = np.zeros(m, dtype=np.int64)
-        self.deg_r = np.zeros(n, dtype=np.int64)
-        self.l_lo = np.array(b.l_lo, dtype=np.int64)
-        self.l_hi = np.array(b.l_hi, dtype=np.int64)
-        self.r_lo = np.array(b.r_lo, dtype=np.int64)
-        self.r_hi = np.array(b.r_hi, dtype=np.int64)
-        self.sums = ClusterSums(inst)
+        self.res = Residual(inst)
         self.gain_evaluations = 0
 
-    def take(self, i: int, j: int) -> None:
-        self.sel[i, j] = True
-        self.deg_l[i] += 1
-        self.deg_r[j] += 1
-        self.sums.add(i, j)
-
-    def counting_feasible(self) -> bool:
-        """Necessary conditions for completing all lower bounds."""
-        need_l = np.maximum(self.l_lo - self.deg_l, 0)
-        need_r = np.maximum(self.r_lo - self.deg_r, 0)
-        if need_l.sum() > (self.r_hi - self.deg_r).sum():
-            return False
-        if need_r.sum() > (self.l_hi - self.deg_l).sum():
-            return False
-        if need_l.any():
-            open_r = self.deg_r < self.r_hi
-            avail_l = (~self.sel & open_r[None, :]).sum(axis=1)
-            if (need_l > avail_l).any():
-                return False
-        if need_r.any():
-            open_l = self.deg_l < self.l_hi
-            avail_r = (~self.sel & open_l[:, None]).sum(axis=0)
-            if (need_r > avail_r).any():
-                return False
-        return True
-
-    def guard(self, i: int, j: int) -> bool:
-        """Would taking (i, j) keep the residual counting check alive?"""
-        self.sel[i, j] = True
-        self.deg_l[i] += 1
-        self.deg_r[j] += 1
-        ok = self.counting_feasible()
-        self.sel[i, j] = False
-        self.deg_l[i] -= 1
-        self.deg_r[j] -= 1
-        return ok
-
     def candidates(self, side: str, node: int) -> list[tuple[int, int]]:
-        """Feasible unselected incident edges, in (left, right) order."""
-        out = []
+        """Usable incident edges that pass the guard, in scan order."""
+        res = self.res
+        usable = res.usable()
         if side == "left":
-            if self.deg_l[node] >= self.l_hi[node]:
-                return out
-            for j in range(self.inst.n):
-                if (not self.sel[node, j] and self.deg_r[j] < self.r_hi[j]
-                        and self.guard(node, j)):
-                    out.append((node, j))
+            edges = [(node, int(j)) for j in np.nonzero(usable[node])[0]]
         else:
-            if self.deg_r[node] >= self.r_hi[node]:
-                return out
-            for i in range(self.inst.m):
-                if (not self.sel[i, node] and self.deg_l[i] < self.l_hi[i]
-                        and self.guard(i, node)):
-                    out.append((i, node))
-        return out
+            edges = [(int(i), node) for i in np.nonzero(usable[:, node])[0]]
+        return [(i, j) for i, j in edges if res.guard(i, j)]
 
     def pick(self, side: str, node: int, round_i: int) -> tuple[int, int] | None:
         """Lowest-gain feasible edge, preferring doubly-owing edges."""
         cands = self.candidates(side, node)
         if not cands:
             return None
-        best = None
-        best_gain = math.inf
-        best_pref = False
+        res = self.res
+        best, best_gain, best_pref = None, math.inf, False
         for i, j in cands:
             if side == "left":
-                opp_owing = self.deg_r[j] < min(round_i, self.r_lo[j])
+                opp_owing = res.deg_r[j] < min(round_i, res.r_lo[j])
             else:
-                opp_owing = self.deg_l[i] < min(round_i, self.l_lo[i])
-            gain = self.sums.gain(i, j)
+                opp_owing = res.deg_l[i] < min(round_i, res.l_lo[i])
+            gain = res.sums.gain(i, j)
             self.gain_evaluations += 1
             # preference first, then gain, then (left, right) via scan order
             if (opp_owing, -gain) > (best_pref, -best_gain):
@@ -125,11 +76,58 @@ class _GreedyState:
         return best
 
 
-def solve_diverse_greedy(inst: Instance, right_first: bool = False) -> SolveReport:
-    """Round-based greedy minimization of the concentration cost.
+def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
+    """Round-based greedy: (matching or None, gain evaluations, dead end)."""
+    state = _GreedyState(inst)
+    res = state.res
+    b = inst.bounds
+    max_lo = max((0,) + b.l_lo + b.r_lo)
+    for round_i in range(1, max_lo + 1):
+        for side, count in (("left", inst.m), ("right", inst.n)):
+            for node in range(count):
+                lo = b.l_lo[node] if side == "left" else b.r_lo[node]
+                deg = res.deg_l if side == "left" else res.deg_r
+                while deg[node] < min(round_i, lo):
+                    edge = state.pick(side, node, round_i)
+                    if edge is None:
+                        owes = min(round_i, lo) - int(deg[node])
+                        return None, state.gain_evaluations, (
+                            f"greedy dead end: {side} node {node} owes "
+                            f"{owes} more edge(s) but has no feasible "
+                            "incident edge")
+                    res.take(*edge)
+    match = Matching((i, j) for i, j in zip(*np.nonzero(res.taken)))
+    return match, state.gain_evaluations, ""
 
-    right_first visits the right block before the left block inside each
-    round; the default matches the convention that left nodes come first.
+
+def _per_right_node(inst: Instance) -> tuple[Matching, int]:
+    """Greedy for right_only instances: (matching, gain evaluations).
+
+    Each right node takes its lower bound's worth of edges, cheapest
+    marginal gain first, ties to the lowest left index.
+    """
+    clusters = inst.clusters
+    edges = []
+    gain_evaluations = 0
+    for j in range(inst.n):
+        col = inst.weights[:, j]
+        sums_c = np.zeros(inst.k, dtype=np.float64)
+        taken = np.zeros(inst.m, dtype=bool)
+        for _ in range(inst.bounds.r_lo[j]):
+            gains = np.where(taken, math.inf, col * col + (2.0 * col) * sums_c[clusters])
+            gain_evaluations += int((~taken).sum())
+            i = int(np.argmin(gains))
+            taken[i] = True
+            sums_c[clusters[i]] += col[i]
+            edges.append((i, j))
+    return Matching(edges), gain_evaluations
+
+
+def solve_diverse_greedy(inst: Instance) -> SolveReport:
+    """Greedy minimization of the concentration cost.
+
+    right_only instances take the per-right-node path (telemetry
+    fast_path True); all others the round-based one.
     """
     start = time.perf_counter()
     feasible, why = is_feasible_bounds(inst)
@@ -139,35 +137,18 @@ def solve_diverse_greedy(inst: Instance, right_first: bool = False) -> SolveRepo
             total_weight=None, diversity_cost=None,
             wall_time=time.perf_counter() - start, diagnostic=why)
 
-    state = _GreedyState(inst)
-    b = inst.bounds
-    max_lo = max((0,) + b.l_lo + b.r_lo)
-    blocks = (("right", inst.n), ("left", inst.m))
-    if not right_first:
-        blocks = blocks[::-1]
+    fast = inst.right_only
+    if fast:
+        match, gain_evaluations = _per_right_node(inst)
+    else:
+        match, gain_evaluations, dead_end = _round_based(inst)
+        if match is None:
+            return SolveReport(
+                algorithm="greedy", status=INFEASIBLE, matching=None,
+                total_weight=None, diversity_cost=None,
+                wall_time=time.perf_counter() - start, diagnostic=dead_end,
+                telemetry={"gain_evaluations": gain_evaluations})
 
-    for round_i in range(1, max_lo + 1):
-        for side, count in blocks:
-            for node in range(count):
-                lo = b.l_lo[node] if side == "left" else b.r_lo[node]
-                deg = state.deg_l if side == "left" else state.deg_r
-                while deg[node] < min(round_i, lo):
-                    edge = state.pick(side, node, round_i)
-                    if edge is None:
-                        owes = min(round_i, lo) - int(deg[node])
-                        return SolveReport(
-                            algorithm="greedy", status=INFEASIBLE,
-                            matching=None, total_weight=None,
-                            diversity_cost=None,
-                            wall_time=time.perf_counter() - start,
-                            diagnostic=(f"greedy dead end: {side} node {node} "
-                                        f"owes {owes} more edge(s) but has no "
-                                        "feasible incident edge"),
-                            telemetry={"gain_evaluations":
-                                       state.gain_evaluations})
-                    state.take(*edge)
-
-    match = Matching((i, j) for i, j in zip(*np.nonzero(state.sel)))
     ok, violations = check_matching(inst, match)
     if not ok:
         raise InternalError("greedy produced an infeasible matching: "
@@ -177,53 +158,4 @@ def solve_diverse_greedy(inst: Instance, right_first: bool = False) -> SolveRepo
         total_weight=total_weight(inst, match),
         diversity_cost=diversity_cost(inst, match),
         wall_time=time.perf_counter() - start,
-        telemetry={"gain_evaluations": state.gain_evaluations,
-                   "fast_path": False})
-
-
-def right_constrained_greedy(inst: Instance) -> SolveReport:
-    """Per-right-node greedy for instances constrained only on the right.
-
-    Applies when every left lower bound is 0 and every left upper bound
-    is at least n: then no two right nodes compete for left capacity and
-    each right node's edges can be chosen independently.  Produces the
-    same matching as solve_diverse_greedy, round for round.  When the
-    precondition fails this falls back to the full algorithm.
-    """
-    b = inst.bounds
-    if not inst.right_only:
-        return solve_diverse_greedy(inst)
-    start = time.perf_counter()
-    feasible, why = is_feasible_bounds(inst)
-    if not feasible:
-        return SolveReport(
-            algorithm="greedy", status=INFEASIBLE, matching=None,
-            total_weight=None, diversity_cost=None,
-            wall_time=time.perf_counter() - start, diagnostic=why)
-
-    clusters = inst.clusters
-    edges = []
-    gain_evaluations = 0
-    for j in range(inst.n):
-        col = inst.weights[:, j]
-        sums_c = np.zeros(inst.k, dtype=np.float64)
-        taken = np.zeros(inst.m, dtype=bool)
-        for _ in range(b.r_lo[j]):
-            gains = np.where(taken, math.inf, col * col + (2.0 * col) * sums_c[clusters])
-            gain_evaluations += int((~taken).sum())
-            i = int(np.argmin(gains))
-            taken[i] = True
-            sums_c[clusters[i]] += col[i]
-            edges.append((i, j))
-
-    match = Matching(edges)
-    ok, violations = check_matching(inst, match)
-    if not ok:
-        raise InternalError("fast-path greedy produced an infeasible "
-                            "matching: " + "; ".join(violations))
-    return SolveReport(
-        algorithm="greedy", status=FEASIBLE_INCUMBENT, matching=match,
-        total_weight=total_weight(inst, match),
-        diversity_cost=diversity_cost(inst, match),
-        wall_time=time.perf_counter() - start,
-        telemetry={"gain_evaluations": gain_evaluations, "fast_path": True})
+        telemetry={"gain_evaluations": gain_evaluations, "fast_path": fast})

@@ -92,8 +92,12 @@ class ClusterSums:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._edges)
 
-    def cluster_weight(self, j: int, c: int) -> float:
-        return float(self._sums[j, c])
+    @property
+    def table(self) -> np.ndarray:
+        """Read-only view of the sums, indexed [right node, cluster]."""
+        view = self._sums.view()
+        view.flags.writeable = False
+        return view
 
     def gain(self, i: int, j: int) -> float:
         """Cost increase if edge (i, j) were added right now."""

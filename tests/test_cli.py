@@ -5,11 +5,23 @@ import json
 import numpy as np
 import pytest
 
-from divmatch import load_instance
+from divmatch import (
+    OPTIMAL,
+    GeneratorConfig,
+    Instance,
+    InternalError,
+    SolveReport,
+    diversity_cost,
+    gen_instance,
+    load_instance,
+    solve_diverse_greedy,
+    total_weight,
+)
 from divmatch.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    _verify_against_oracle,
     main,
 )
 
@@ -84,6 +96,21 @@ class TestSolve:
         code = main(["solve", "--alg", "wbm", "--verify",
                      str(inst_path), str(out)])
         assert code == EXIT_OK
+
+    def test_verify_tolerance_scales_with_weights(self):
+        # At weights of order 1e-6 costs are of order 1e-12, so an
+        # absolute 1e-9 tolerance would pass any matching as optimal.
+        proto = gen_instance(GeneratorConfig(m=4, n=4, k=2, l_lo=1, l_hi=4,
+                                             r_lo=2, seed=(5, 0)))
+        inst = Instance(proto.weights * 1e-6, proto.clusters, proto.k,
+                        proto.bounds)
+        match = solve_diverse_greedy(inst).matching
+        claimed = SolveReport(
+            algorithm="diverse_exact", status=OPTIMAL, matching=match,
+            total_weight=total_weight(inst, match),
+            diversity_cost=diversity_cost(inst, match), wall_time=0.0)
+        with pytest.raises(InternalError, match="diversity optimum mismatch"):
+            _verify_against_oracle("dwbm", inst, claimed)
 
     def test_infeasible_exits_three(self, tmp_path, capsys):
         path = write_infeasible_instance(tmp_path)

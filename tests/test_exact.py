@@ -18,6 +18,7 @@ from divmatch import (
     solve_min_weight,
     warm_start,
 )
+from divmatch import exact
 from conftest import random_instance
 
 
@@ -116,6 +117,38 @@ class TestAnytimeBudget:
                 continue
             oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
             assert rep.diversity_cost >= oracle.diversity_cost - 1e-9
+
+
+class TestFrontierCap:
+    def test_depth_first_fallback_stays_exact(self, monkeypatch):
+        # With a cap of 1 every second child goes to the depth-first
+        # stack, so the search order changes but the optimum must not.
+        rng = np.random.default_rng(425)
+        budget = EnumerationBudget(max_subsets=1 << 16, max_wall_s=120.0)
+        checked = reordered = 0
+        for _ in range(400):
+            inst = random_instance(rng, max_m=4, max_n=5, max_cells=16)
+            if inst.right_only:
+                continue
+            default = solve_diverse_exact(inst)
+            if default.status != OPTIMAL:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "FRONTIER_CAP", 1)
+                rep = solve_diverse_exact(inst)
+            if rep.telemetry["expanded"] <= 1:
+                continue
+            assert rep.status == OPTIMAL
+            oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
+            tol = 1e-9 * float(inst.weights.sum()) ** 2
+            assert abs(rep.diversity_cost - oracle.diversity_cost) <= tol
+            reordered += (rep.telemetry["expanded"]
+                          != default.telemetry["expanded"])
+            checked += 1
+            if checked == 30:
+                break
+        assert checked == 30
+        assert reordered > 0
 
 
 class TestWarmStart:

@@ -1,4 +1,4 @@
-"""Tests for the greedy diverse solver and its vectorized fast path."""
+"""Tests for the greedy diverse solver and its per-right-node fast path."""
 
 import numpy as np
 
@@ -13,9 +13,9 @@ from divmatch import (
     check_matching,
     diversity_cost,
     is_feasible_bounds,
-    right_constrained_greedy,
     solve_diverse_greedy,
 )
+from divmatch import greedy
 from conftest import random_instance
 
 
@@ -115,36 +115,40 @@ class TestDeterminismAndOrder:
             if a.matching is not None:
                 assert a.matching.edges == b.matching.edges
 
-    def test_right_first_flag_still_feasible(self):
-        rng = np.random.default_rng(322)
-        for _ in range(25):
-            inst = random_instance(rng)
-            rep = solve_diverse_greedy(inst, right_first=True)
-            if rep.status == FEASIBLE_INCUMBENT:
-                ok, violations = check_matching(inst, rep.matching)
-                assert ok, violations
-
 
 class TestFastPath:
     def test_matches_general_greedy_bit_for_bit(self):
         rng = np.random.default_rng(331)
         for _ in range(200):
             inst = random_instance(rng, right_constrained=True)
-            fast = right_constrained_greedy(inst)
-            slow = solve_diverse_greedy(inst)
-            assert fast.status == slow.status
-            assert fast.matching.edges == slow.matching.edges
-            assert fast.diversity_cost == slow.diversity_cost
-            assert fast.telemetry["fast_path"] is True
-            assert slow.telemetry["fast_path"] is False
+            fast, fast_evals = greedy._per_right_node(inst)
+            slow, slow_evals, dead_end = greedy._round_based(inst)
+            assert dead_end == ""
+            assert fast.edges == slow.edges
+            assert diversity_cost(inst, fast) == diversity_cost(inst, slow)
+            assert fast_evals == slow_evals
+            rep = solve_diverse_greedy(inst)
+            assert rep.telemetry["fast_path"] is True
+            assert rep.matching.edges == fast.edges
+            assert rep.telemetry["gain_evaluations"] == fast_evals
 
     def test_falls_back_when_left_side_constrained(self):
+        # Two-sided instances dispatch to the round-based path.
         weights = np.array([[1.0, 2.0], [3.0, 4.0]])
         bounds = DegreeBounds.broadcast(2, 2, 1, 1, 1, 1)
         inst = Instance(weights, np.array([0, 1]), 2, bounds)
-        rep = right_constrained_greedy(inst)
+        rep = solve_diverse_greedy(inst)
         assert rep.status == FEASIBLE_INCUMBENT
         assert rep.telemetry["fast_path"] is False
+        slow, slow_evals, _ = greedy._round_based(inst)
+        assert rep.matching.edges == slow.edges
+        assert rep.telemetry["gain_evaluations"] == slow_evals
+        rng = np.random.default_rng(332)
+        for _ in range(40):
+            inst = random_instance(rng)
+            rep = solve_diverse_greedy(inst)
+            if rep.status == FEASIBLE_INCUMBENT:
+                assert rep.telemetry["fast_path"] is inst.right_only
 
     def test_counts_gain_evaluations(self):
         inst = spread_instance()

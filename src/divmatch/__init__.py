@@ -22,8 +22,8 @@ from .instance import (DegreeBounds, Instance, Matching, check_matching,
 from .metrics import (MetricsReport, compute_metrics, entropy_gain,
                       entropy_profile, node_bound_term, node_entropy,
                       pod_lower_bound, price_of_diversity)
-from .minweight import (FlowNetwork, lift_solution, reduce_to_circulation,
-                        solve_circulation, solve_min_weight)
+from .minweight import (FlowNetwork, reduce_to_circulation, solve_circulation,
+                        solve_min_weight)
 from .objective import (BlockMatrix, ClusterSums, diversity_cost,
                         quadratic_form_cost, total_weight)
 from .oracle import (EnumerationBudget, OBJECTIVE_DIVERSITY,
@@ -42,7 +42,7 @@ __all__ = [
     "OBJECTIVE_WEIGHT", "OPTIMAL", "SizeCapError", "SolveReport",
     "TrialBatch", "TrialRow", "brute_force", "check_matching",
     "compute_metrics", "diversity_cost", "entropy_gain", "entropy_profile",
-    "enumerate_pod", "gen_instance", "is_feasible_bounds", "lift_solution",
+    "enumerate_pod", "gen_instance", "is_feasible_bounds",
     "load_instance", "load_matching", "node_bound_term", "node_entropy",
     "pod_lower_bound", "price_of_diversity", "quadratic_form_cost",
     "reduce_to_circulation", "run_bounds_sweep",

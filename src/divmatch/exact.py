@@ -48,6 +48,7 @@ from .objective import diversity_cost, total_weight
 from .report import FEASIBLE_INCUMBENT, INFEASIBLE, OPTIMAL, SolveReport
 
 FRONTIER_CAP = 10 ** 6
+# relative to the incumbent's cost, so every weight scale prunes alike
 PRUNE_TOL = 1e-9
 
 
@@ -231,6 +232,7 @@ def solve_diverse_exact(inst: Instance,
     if incumbent is None:
         raise InternalError("feasibility pre-check passed but no warm start")
     best_value = diversity_cost(inst, incumbent)
+    cutoff = best_value - PRUNE_TOL * best_value
     updates = [(time.perf_counter() - start, best_value)]
 
     search = _Search(inst)
@@ -251,7 +253,7 @@ def solve_diverse_exact(inst: Instance,
             node = stack.pop()
         else:
             _, _, _, node = heapq.heappop(heap)
-        if node.bound >= best_value - PRUNE_TOL:
+        if node.bound >= cutoff:
             search.pruned += 1
             continue
         res = search.rebuild(node)
@@ -263,8 +265,9 @@ def solve_diverse_exact(inst: Instance,
             match = Matching((int(i), int(j))
                              for i, j in zip(*np.nonzero(res.taken)))
             value = diversity_cost(inst, match)
-            if value < best_value - PRUNE_TOL:
+            if value < cutoff:
                 best_value = value
+                cutoff = best_value - PRUNE_TOL * best_value
                 incumbent = match
                 updates.append((time.perf_counter() - start, value))
             continue
@@ -279,7 +282,7 @@ def solve_diverse_exact(inst: Instance,
             usable = res.usable()
             bound = (committed + search.completion_bound(res, usable)
                      if res.counting_feasible(usable) else math.inf)
-            if bound < best_value - PRUNE_TOL:
+            if bound < cutoff:
                 child = _Node(node, flat, take, committed, bound,
                               node.depth + 1,
                               search.pick_branch_edge(res, usable))
@@ -301,7 +304,7 @@ def solve_diverse_exact(inst: Instance,
                             + "; ".join(violations))
     status = FEASIBLE_INCUMBENT if timed_out else OPTIMAL
     value = diversity_cost(inst, incumbent)
-    if abs(value - best_value) > 1e-9:
+    if abs(value - best_value) > 1e-9 * max(value, best_value):
         raise InternalError(
             f"incumbent value drifted: tracked {best_value}, actual {value}")
     return SolveReport(

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._maxflow import MaxFlow
+from ._flow import reduce_to_circulation
 from .errors import InstanceError, MatchingError
 
 
@@ -261,61 +261,29 @@ class Matching:
 def is_feasible_bounds(inst: Instance) -> tuple[bool, str]:
     """Decide whether any matching can satisfy all degree bounds.
 
-    Exact test: circulation with demands on the complete bipartite graph,
-    reduced to plain max-flow.  Returns (feasible, diagnostic); on failure
-    the diagnostic names the side (and node, when one is identifiable)
-    whose lower bounds cannot be met.
+    Exact test: max flow on the lowered circulation saturates every
+    lower-bound requirement arc exactly when some matching fits.  Returns
+    (feasible, diagnostic); on failure the diagnostic names the side (and
+    node, when one is identifiable) whose lower bounds cannot be met.
     """
-    m, n = inst.m, inst.n
-    b = inst.bounds
-    # node ids: 0 = super source, 1 = super sink, 2 = s, 3 = t,
-    # lefts 4..4+m-1, rights 4+m..4+m+n-1
-    SS, TT, S, T = 0, 1, 2, 3
-    left0, right0 = 4, 4 + m
-    g = MaxFlow(4 + m + n)
-
-    need = 0
-    left_req = []      # (arc id of SS->left i, i)
-    right_req = None   # arc id of SS->t aggregate
-    for i in range(m):
-        lo, hi = b.l_lo[i], b.l_hi[i]
-        g.add_edge(S, left0 + i, hi - lo)
-        if lo > 0:
-            left_req.append((g.add_edge(SS, left0 + i, lo), i))
-            need += lo
-    total_l_lo = sum(b.l_lo)
-    if total_l_lo > 0:
-        g.add_edge(S, TT, total_l_lo)
-    for i in range(m):
-        for j in range(n):
-            g.add_edge(left0 + i, right0 + j, 1)
-    right_node_req = []
-    total_r_lo = sum(b.r_lo)
-    for j in range(n):
-        lo, hi = b.r_lo[j], b.r_hi[j]
-        g.add_edge(right0 + j, T, hi - lo)
-        if lo > 0:
-            right_node_req.append((g.add_edge(right0 + j, TT, lo), j))
-    if total_r_lo > 0:
-        right_req = g.add_edge(SS, T, total_r_lo)
-        need += total_r_lo
-    g.add_edge(T, S, min(sum(b.l_hi), sum(b.r_hi)))
-
-    got = g.max_flow(SS, TT)
-    if got == need:
+    net = reduce_to_circulation(inst)
+    g = net.graph
+    if g.max_flow(net.source, net.sink) == net.need:
         return True, "feasible"
 
-    for arc, i in left_req:
-        if g.flow_on(arc) < b.l_lo[i]:
+    # a requirement arc with residual capacity left names an unmet bound
+    b = inst.bounds
+    for i, arc in net.left_req:
+        if g.cap[arc] > 0:
             return False, (f"left node {i} cannot reach its lower bound "
                            f"{b.l_lo[i]} (right-side capacity too small)")
-    for arc, j in right_node_req:
-        if g.flow_on(arc) < b.r_lo[j]:
+    for j, arc in net.right_req:
+        if g.cap[arc] > 0:
             return False, (f"right node {j} cannot reach its lower bound "
                            f"{b.r_lo[j]} (left-side capacity too small)")
-    if right_req is not None and g.flow_on(right_req) < total_r_lo:
+    if net.right_total >= 0 and g.cap[net.right_total] > 0:
         return False, ("right-side lower bounds total "
-                       f"{total_r_lo} exceed what left capacities can supply")
+                       f"{sum(b.r_lo)} exceed what left capacities can supply")
     return False, "left-side lower bounds exceed what right capacities can absorb"
 
 

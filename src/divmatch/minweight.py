@@ -1,205 +1,39 @@
 """Exact minimum-weight solver via min-cost circulation.
 
-The degree-bounded matching problem reduces to a circulation with lower
-bounds: source feeds left nodes within their degree intervals, each
-candidate edge is a unit-capacity arc priced at its weight, right nodes
-drain to the sink within their intervals, and a free sink-to-source
-bypass lets the total edge count float to whatever is cheapest.  The
-constraint system is totally unimodular, so the fractional optimum is
-integral and decoding arc flows of 1 gives an optimal matching.
-
-Lower bounds are removed by the standard surplus transformation, then
-successive shortest augmenting paths (Dijkstra with node potentials;
-all costs stay nonnegative) deliver the min-cost flow.  Arc insertion
-order, heap tie-breaks on node id, and strict relaxation make the solver
-fully deterministic, which pins down which optimum is returned when
-several matchings share the minimum weight.
+_flow.reduce_to_circulation (re-exported here) lowers the degree bounds
+to a circulation once.  Its constraint system is totally unimodular, so
+the fractional optimum is integral and the edge arcs carrying flow form
+an optimal matching.  Successive shortest paths on that graph are fully
+deterministic, which pins down which optimum is returned when several
+matchings share the minimum weight.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
-from dataclasses import dataclass, field
 
+from ._flow import FlowNetwork, reduce_to_circulation
 from .errors import InternalError
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
 from .objective import diversity_cost, total_weight
 from .report import INFEASIBLE, OPTIMAL, SolveReport
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One directed arc of the circulation network."""
-
-    u: int
-    v: int
-    lower: int
-    cap: int
-    cost: float
-    kind: str                     # "supply" | "edge" | "demand" | "bypass"
-    edge: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.cap):
-            raise InternalError(f"arc bounds [{self.lower}, {self.cap}] invalid")
-        if self.cost < 0:
-            raise InternalError("arc costs must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Circulation network for one instance.
-
-    Node layout: 0 = source, 1 = sink, 2..2+m-1 = left nodes,
-    2+m..2+m+n-1 = right nodes.  Arc order is fixed: supplies by left
-    node, edges in (left, right) lexicographic order, demands by right
-    node, then the bypass; the solver's determinism leans on this order.
-    """
-
-    num_nodes: int
-    source: int
-    sink: int
-    arcs: tuple[Arc, ...] = field(repr=False)
-
-
-def reduce_to_circulation(inst: Instance) -> FlowNetwork:
-    """Build the circulation network; bijective with edge selections."""
-    m, n = inst.m, inst.n
-    b = inst.bounds
-    s, t = 0, 1
-    left0, right0 = 2, 2 + m
-    arcs: list[Arc] = []
-    for i in range(m):
-        arcs.append(Arc(s, left0 + i, b.l_lo[i], b.l_hi[i], 0.0, "supply"))
-    for i in range(m):
-        for j in range(n):
-            arcs.append(Arc(left0 + i, right0 + j, 0, 1,
-                            float(inst.weights[i, j]), "edge", (i, j)))
-    for j in range(n):
-        arcs.append(Arc(right0 + j, t, b.r_lo[j], b.r_hi[j], 0.0, "demand"))
-    arcs.append(Arc(t, s, 0, min(sum(b.l_hi), sum(b.r_hi)), 0.0, "bypass"))
-    return FlowNetwork(2 + m + n, s, t, tuple(arcs))
-
-
-class _MinCostFlow:
-    """Successive shortest paths with potentials; deterministic."""
-
-    def __init__(self, num_nodes: int):
-        self.graph: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-        self.augmentations = 0
-
-    def add(self, u: int, v: int, cap: int, cost: float) -> int:
-        arc = len(self.to)
-        self.graph[u].append(arc)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.graph[v].append(arc + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return arc
-
-    def flow_on(self, arc: int) -> int:
-        return self.cap[arc + 1]
-
-    def solve(self, s: int, t: int) -> tuple[int, float]:
-        """Max flow s->t at minimum cost; returns (flow, cost)."""
-        num = len(self.graph)
-        pot = [0.0] * num
-        flow_total = 0
-        cost_total = 0.0
-        while True:
-            dist = [math.inf] * num
-            parent_arc = [-1] * num
-            dist[s] = 0.0
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for a in self.graph[u]:
-                    if self.cap[a] <= 0:
-                        continue
-                    v = self.to[a]
-                    reduced = self.cost[a] + pot[u] - pot[v]
-                    if reduced < -1e-7:
-                        raise InternalError(
-                            f"negative reduced cost {reduced} in Dijkstra")
-                    nd = d + max(reduced, 0.0)
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent_arc[v] = a
-                        heapq.heappush(heap, (nd, v))
-            if math.isinf(dist[t]):
-                return flow_total, cost_total
-            for v in range(num):
-                if not math.isinf(dist[v]):
-                    pot[v] += dist[v]
-            bottleneck = math.inf
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                bottleneck = min(bottleneck, self.cap[a])
-                v = self.to[a ^ 1]
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                self.cap[a] -= bottleneck
-                self.cap[a ^ 1] += bottleneck
-                cost_total += bottleneck * self.cost[a]
-                v = self.to[a ^ 1]
-            flow_total += bottleneck
-            self.augmentations += 1
-
-
-def solve_circulation(net: FlowNetwork) -> tuple[list[int], int]:
+def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
     """Min-cost circulation honoring lower bounds.
 
-    Returns (per-arc flow in the order of net.arcs, augmentation count).
-    Raises InternalError if the lower bounds cannot be met; callers are
-    expected to have run is_feasible_bounds first.
+    Returns (matching of the edge arcs that carry flow, augmentation
+    count).  Raises InternalError if the lower bounds cannot be met;
+    callers are expected to have run is_feasible_bounds first.
     """
-    ss, tt = net.num_nodes, net.num_nodes + 1
-    engine = _MinCostFlow(net.num_nodes + 2)
-    surplus = [0] * net.num_nodes
-    arc_ids = []
-    for arc in net.arcs:
-        arc_ids.append(engine.add(arc.u, arc.v, arc.cap - arc.lower, arc.cost))
-        surplus[arc.v] += arc.lower
-        surplus[arc.u] -= arc.lower
-    need = 0
-    for v, ex in enumerate(surplus):
-        if ex > 0:
-            engine.add(ss, v, ex, 0.0)
-            need += ex
-        elif ex < 0:
-            engine.add(v, tt, -ex, 0.0)
-    sent, _ = engine.solve(ss, tt)
-    if sent != need:
+    g = net.graph
+    sent, augmentations = g.min_cost_flow(net.source, net.sink)
+    if sent != net.need:
         raise InternalError(
             "circulation lower bounds unmet despite feasibility pre-check")
-    flows = [net.arcs[idx].lower + engine.flow_on(a)
-             for idx, a in enumerate(arc_ids)]
-    return flows, engine.augmentations
-
-
-def lift_solution(net: FlowNetwork, flows: list[int]) -> Matching:
-    """Decode unit edge-arc flows into a matching."""
-    edges = []
-    for arc, f in zip(net.arcs, flows):
-        if arc.kind != "edge":
-            continue
-        if f not in (0, 1):
-            raise InternalError(f"edge arc carries non-binary flow {f}")
-        if f == 1:
-            edges.append(arc.edge)
-    return Matching(edges)
+    edges = [(i, j) for i, row in enumerate(net.edge_arcs)
+             for j, arc in enumerate(row) if g.flow_on(arc)]
+    return Matching(edges), augmentations
 
 
 def solve_min_weight(inst: Instance) -> SolveReport:
@@ -211,9 +45,7 @@ def solve_min_weight(inst: Instance) -> SolveReport:
             algorithm="min_weight", status=INFEASIBLE, matching=None,
             total_weight=None, diversity_cost=None,
             wall_time=time.perf_counter() - start, diagnostic=why)
-    net = reduce_to_circulation(inst)
-    flows, augmentations = solve_circulation(net)
-    match = lift_solution(net, flows)
+    match, augmentations = solve_circulation(reduce_to_circulation(inst))
     ok, violations = check_matching(inst, match)
     if not ok:
         raise InternalError("decoded optimal matching violates bounds: "

@@ -120,6 +120,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "infeasible" in json.loads(err)["error"]
 
+    def test_per_node_infeasible_exits_three(self, tmp_path, capsys):
+        # Per-node bounds no matching meets: exit 3, not an internal
+        # error (5) from a feasibility check that let it through.
+        path = tmp_path / "per_node.json"
+        path.write_text(json.dumps({
+            "m": 4, "n": 2, "k": 1, "weights": [[1.0, 1.0]] * 4,
+            "clusters": [0, 0, 0, 0],
+            "bounds": {"L_lo": [0, 0, 1, 2], "L_hi": [0, 0, 2, 2],
+                       "R_lo": [1, 3], "R_hi": [3, 3]}}))
+        code = main(["solve", "--alg", "wbm", str(path),
+                     str(tmp_path / "sol.json")])
+        assert code == EXIT_INFEASIBLE
+        assert "infeasible" in json.loads(capsys.readouterr().err)["error"]
+
     def test_missing_file_exits_usage(self, tmp_path, capsys):
         code = main(["solve", "--alg", "wbm",
                      str(tmp_path / "nope.json"),

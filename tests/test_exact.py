@@ -6,6 +6,7 @@ from divmatch import (
     DegreeBounds,
     EnumerationBudget,
     FEASIBLE_INCUMBENT,
+    GeneratorConfig,
     INFEASIBLE,
     Instance,
     OBJECTIVE_DIVERSITY,
@@ -13,6 +14,7 @@ from divmatch import (
     brute_force,
     check_matching,
     diversity_cost,
+    gen_instance,
     solve_diverse_exact,
     solve_diverse_greedy,
     solve_min_weight,
@@ -88,6 +90,37 @@ class TestSingleClusterReduction:
             np.testing.assert_allclose(
                 diverse.total_weight, baseline.total_weight,
                 rtol=0, atol=1e-9)
+
+
+def scaled_instance(cfg, scale):
+    inst = gen_instance(cfg)
+    return Instance(inst.weights * scale, inst.clusters, inst.k, inst.bounds)
+
+
+class TestWeightScale:
+    # The pruning tolerance must scale with the costs: an absolute one
+    # prunes every node at small weights and returns the warm start as
+    # optimal.
+    def test_tiny_weights_match_brute_force(self):
+        inst = scaled_instance(GeneratorConfig(
+            m=4, n=4, k=2, l_lo=1, l_hi=4, r_lo=2, seed=(5, 0)), 1e-6)
+        rep = solve_diverse_exact(inst)
+        oracle = brute_force(inst, OBJECTIVE_DIVERSITY)
+        assert rep.status == OPTIMAL
+        assert rep.telemetry["expanded"] > 0
+        np.testing.assert_allclose(rep.diversity_cost, oracle.diversity_cost,
+                                   rtol=1e-9, atol=0)
+
+    def test_scaled_weights_scale_the_optimum(self):
+        cfg = GeneratorConfig(m=12, n=8, k=4, l_lo=1, l_hi=8, r_lo=3,
+                              seed=(1, 12))
+        base = solve_diverse_exact(gen_instance(cfg))
+        rep = solve_diverse_exact(scaled_instance(cfg, 1e-5))
+        assert base.status == rep.status == OPTIMAL
+        assert rep.matching == base.matching
+        np.testing.assert_allclose(rep.diversity_cost,
+                                   1e-10 * base.diversity_cost, rtol=1e-9,
+                                   atol=0)
 
 
 class TestAnytimeBudget:

@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 from divmatch import (
+    INFEASIBLE,
+    OBJECTIVE_WEIGHT,
+    OPTIMAL,
     DegreeBounds,
     Instance,
     InstanceError,
     Matching,
     MatchingError,
+    brute_force,
     check_matching,
     is_feasible_bounds,
     load_instance,
     load_matching,
     save_instance,
     save_matching,
+    solve_diverse_exact,
+    solve_diverse_greedy,
+    solve_min_weight,
     transform_max_to_min,
 )
 from conftest import random_instance
@@ -27,6 +34,12 @@ def tiny_instance():
     clusters = np.array([0, 0, 1])
     bounds = DegreeBounds.broadcast(3, 2, 0, 2, 1, 3)
     return Instance(weights, clusters, 2, bounds)
+
+
+def unit_instance(m, n, l_lo, l_hi, r_lo, r_hi):
+    """Unit weights, one cluster, per-node bounds."""
+    bounds = DegreeBounds.broadcast(m, n, l_lo, l_hi, r_lo, r_hi)
+    return Instance(np.ones((m, n)), np.zeros(m, dtype=int), 1, bounds)
 
 
 class TestDegreeBounds:
@@ -157,6 +170,51 @@ class TestFeasibility:
         feasible, why = is_feasible_bounds(inst)
         assert not feasible
         assert why != ""
+
+    def test_diagnostic_names_the_only_culprit(self):
+        # Left node 0 needs 2 edges but right node 1 takes none, so every
+        # maximum flow leaves left node 0's requirement unmet.
+        inst = unit_instance(2, 2, (2, 0), (2, 2), (0, 0), (2, 0))
+        assert is_feasible_bounds(inst) == (
+            False, "left node 0 cannot reach its lower bound 2 "
+                   "(right-side capacity too small)")
+
+    def test_feasible_per_node_bounds_found_feasible(self):
+        # Flow pushed back along a reverse arc must credit its partner
+        # arc; crediting the wrong one reports this instance infeasible.
+        inst = unit_instance(2, 3, (2, 3), (2, 3), (1, 1, 2), (2, 1, 2))
+        assert brute_force(inst, OBJECTIVE_WEIGHT).status == OPTIMAL
+        assert is_feasible_bounds(inst) == (True, "feasible")
+        for solve in (solve_min_weight, solve_diverse_exact,
+                      solve_diverse_greedy):
+            rep = solve(inst)
+            assert rep.status != INFEASIBLE, solve.__name__
+            ok, violations = check_matching(inst, rep.matching)
+            assert ok, violations
+
+    def test_infeasible_per_node_bounds_found_infeasible(self):
+        # Crediting the wrong partner arc reports this instance feasible,
+        # and the flow solvers then fail their own lower-bound check.
+        inst = unit_instance(4, 2, (0, 0, 1, 2), (0, 0, 2, 2), (1, 3), (3, 3))
+        assert brute_force(inst, OBJECTIVE_WEIGHT).status == INFEASIBLE
+        feasible, why = is_feasible_bounds(inst)
+        assert not feasible, why
+        for solve in (solve_min_weight, solve_diverse_exact,
+                      solve_diverse_greedy):
+            assert solve(inst).status == INFEASIBLE, solve.__name__
+
+    def test_per_node_bounds_match_exhaustive_search(self):
+        rng = np.random.default_rng(5)
+        infeasible = 0
+        for _ in range(300):
+            inst = random_instance(rng, max_m=4, max_n=4, max_cells=16,
+                                   per_node=True)
+            status = brute_force(inst, OBJECTIVE_WEIGHT).status
+            feasible, why = is_feasible_bounds(inst)
+            assert feasible == (status == OPTIMAL), why
+            assert solve_min_weight(inst).status == status
+            infeasible += status == INFEASIBLE
+        assert infeasible >= 30
 
 
 class TestCheckMatching:

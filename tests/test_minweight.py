@@ -5,12 +5,14 @@ import numpy as np
 from divmatch import (
     DegreeBounds,
     EnumerationBudget,
+    GeneratorConfig,
     INFEASIBLE,
     Instance,
     OBJECTIVE_WEIGHT,
     OPTIMAL,
     brute_force,
     check_matching,
+    gen_instance,
     is_feasible_bounds,
     solve_min_weight,
     total_weight,
@@ -80,6 +82,24 @@ class TestOracleAgreement:
                 assert rep.matching is None
                 seen_infeasible += 1
         assert seen_infeasible >= 5
+
+
+class TestWeightScale:
+    def test_huge_weights_solve(self):
+        # The reduced-cost guard must scale with the weights: an absolute
+        # one raises InternalError on every one of these valid instances.
+        for seed in range(30):
+            inst = gen_instance(GeneratorConfig(m=30, n=15, k=3, l_lo=1,
+                                                r_lo=3, seed=seed))
+            big = Instance(inst.weights * 1e12, inst.clusters, inst.k,
+                           inst.bounds)
+            rep = solve_min_weight(big)
+            assert rep.status == OPTIMAL
+            ok, violations = check_matching(big, rep.matching)
+            assert ok, violations
+            np.testing.assert_allclose(
+                rep.total_weight,
+                1e12 * solve_min_weight(inst).total_weight, rtol=1e-9, atol=0)
 
 
 class TestStructuralProperties:

@@ -19,7 +19,7 @@ from .objective import ClusterSums
 class Residual:
     """Masks, degrees and cluster sums of one partial selection.
 
-    The bound arrays are built once; load() swaps the selection.
+    Starts empty; solvers change it one edge at a time.
     """
 
     __slots__ = ("inst", "l_lo", "l_hi", "r_lo", "r_hi", "taken", "closed",
@@ -32,18 +32,11 @@ class Residual:
         self.l_hi = np.array(b.l_hi, dtype=np.int64)
         self.r_lo = np.array(b.r_lo, dtype=np.int64)
         self.r_hi = np.array(b.r_hi, dtype=np.int64)
-        empty = np.zeros((inst.m, inst.n), dtype=bool)
-        self.load(empty, empty)
-
-    def load(self, taken: np.ndarray, forbidden: np.ndarray) -> "Residual":
-        """Reset to the given masks; the taken mask is kept, not copied."""
-        self.taken = taken
-        self.closed = taken | forbidden
-        self.deg_l = taken.sum(axis=1, dtype=np.int64)
-        self.deg_r = taken.sum(axis=0, dtype=np.int64)
-        # row-major add order, so the sums are the same floats every time
-        self.sums = ClusterSums(self.inst, zip(*np.nonzero(taken)))
-        return self
+        self.taken = np.zeros((inst.m, inst.n), dtype=bool)
+        self.closed = np.zeros((inst.m, inst.n), dtype=bool)
+        self.deg_l = np.zeros(inst.m, dtype=np.int64)
+        self.deg_r = np.zeros(inst.n, dtype=np.int64)
+        self.sums = ClusterSums(inst)
 
     def take(self, i: int, j: int) -> float:
         """Select edge (i, j); returns its gain."""

@@ -9,30 +9,38 @@ its lower bound's worth of edges.  Within one right node and one cluster
 the cheapest t edges are always the best t edges, so a small dynamic
 program over per-cluster take counts finds the node's optimum exactly.
 
-Everything else runs best-first branch and bound over edge decisions.
-A search node fixes some edges in and some out.  A popped node is
-replayed from its decision chain into the residual state the greedy
-solver also uses (taken and closed masks, degrees, cluster sums); its
-two children are take/forbid steps on that state, undone after they are
-priced.  Branching picks the heaviest usable edge incident to an owing
-node.  The lower bound is the committed cost plus an optimistic
-completion estimate: every owing node must still add d edges, each
-costing at least its marginal gain against the committed cluster sums,
-so the d cheapest such gains sum to a valid floor (taken per side, then
-the larger side, since one edge can serve both sides at once).  Because
-the objective is monotone, a node whose lower bounds are all met is a
+Everything else runs depth-first branch and bound over edge decisions.
+A search node fixes some edges in and some out.  The whole search works
+on one residual state, the one the greedy solver also uses (taken and
+closed masks, degrees, cluster sums).  An undo trail records the
+decisions applied to it along the current path: popping a node undoes
+the trail back to its parent's depth and applies the node's one
+decision.  Its two children are take/forbid steps on that state, undone
+after they are priced, and the child with the lower bound is popped
+first.  Open nodes live on an explicit stack that never holds more than
+one pending sibling per level, so memory stays linear in the depth.
+
+Branching picks the heaviest usable edge incident to an owing node.
+The lower bound is the committed cost plus an optimistic completion
+estimate: every owing node must still add d edges, each costing at
+least its marginal gain against the committed cluster sums, so the d
+cheapest such gains sum to a valid floor (taken per side, then the
+larger side, since one edge can serve both sides at once).  Because the
+objective is monotone, a node whose lower bounds are all met is a
 complete candidate solution; its committed edge set is the incumbent
 candidate and the subtree closes.  Each node's branch edge is picked
 when the node is created, from the same usable-edge mask that priced it.
 
-The search is anytime: a greedy warm start seeds the incumbent, a
-millisecond budget stops the search early with the best incumbent, and
-a frontier cap switches expansion to depth-first so memory stays bounded.
+The search is anytime: a greedy warm start seeds the incumbent and a
+millisecond budget stops the search early with the best incumbent.
+Every subtree not yet searched hangs off a node on the stack, so the
+smallest bound left there (capped by the pruning cutoff) is a certified
+lower bound on the optimum; telemetry reports it as lower_bound, with
+the relative gap to the returned cost.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from typing import Optional
@@ -40,14 +48,13 @@ from typing import Optional
 import numpy as np
 
 from ._residual import Residual
-from .errors import InternalError
+from .errors import ConfigError, InternalError
 from .greedy import solve_diverse_greedy
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
 from .minweight import solve_min_weight
 from .objective import diversity_cost, total_weight
 from .report import FEASIBLE_INCUMBENT, INFEASIBLE, OPTIMAL, SolveReport
 
-FRONTIER_CAP = 10 ** 6
 # relative to the incumbent's cost, so every weight scale prunes alike
 PRUNE_TOL = 1e-9
 
@@ -109,22 +116,6 @@ def _solve_right_constrained(inst: Instance) -> Matching:
     return Matching(edges)
 
 
-class _Node:
-    """One branch-and-bound search node (decision chain link)."""
-
-    __slots__ = ("parent", "edge", "take", "committed", "bound", "depth",
-                 "branch")
-
-    def __init__(self, parent, edge, take, committed, bound, depth, branch):
-        self.parent = parent
-        self.edge = edge          # flat index i * n + j, -1 at the root
-        self.take = take
-        self.committed = committed
-        self.bound = bound
-        self.depth = depth
-        self.branch = branch      # pick_branch_edge of this node's state
-
-
 class _Search:
     """Bound, branching rule and counters of one branch-and-bound run."""
 
@@ -133,18 +124,6 @@ class _Search:
         self.res = Residual(inst)
         self.expanded = 0
         self.pruned = 0
-
-    def rebuild(self, node: _Node) -> Residual:
-        """Walk the decision chain into the residual state."""
-        m, n = self.inst.m, self.inst.n
-        in_mask = np.zeros((m, n), dtype=bool)
-        out_mask = np.zeros((m, n), dtype=bool)
-        cur = node
-        while cur.edge >= 0:
-            i, j = divmod(cur.edge, n)
-            (in_mask if cur.take else out_mask)[i, j] = True
-            cur = cur.parent
-        return self.res.load(in_mask, out_mask)
 
     def completion_bound(self, res: Residual, usable: np.ndarray) -> float:
         """Optimistic extra cost to satisfy all residual lower bounds.
@@ -203,8 +182,13 @@ def solve_diverse_exact(inst: Instance,
     (telemetry fast_path True); all others branch and bound.  Completes
     with status optimal, or returns the best incumbent as
     feasible_incumbent when budget_ms elapses first.  The budget is
-    honored at branching granularity.
+    honored at branching granularity; a negative or NaN budget raises
+    ConfigError.  Telemetry lower_bound is a certified floor on the
+    optimum and gap the returned cost's relative distance above it.
     """
+    if budget_ms is not None and not budget_ms >= 0:
+        raise ConfigError(
+            f"budget_ms must be a nonnegative number, got {budget_ms!r}")
     start = time.perf_counter()
     deadline = None if budget_ms is None else start + budget_ms / 1000.0
     feasible, why = is_feasible_bounds(inst)
@@ -220,13 +204,14 @@ def solve_diverse_exact(inst: Instance,
         if not ok:
             raise InternalError("decomposed optimum violates bounds: "
                                 + "; ".join(violations))
+        cost = diversity_cost(inst, fast)
         return SolveReport(
             algorithm="diverse_exact", status=OPTIMAL, matching=fast,
-            total_weight=total_weight(inst, fast),
-            diversity_cost=diversity_cost(inst, fast),
+            total_weight=total_weight(inst, fast), diversity_cost=cost,
             wall_time=time.perf_counter() - start,
             telemetry={"fast_path": True, "expanded": 0, "pruned": 0,
-                       "incumbent_updates": []})
+                       "incumbent_updates": [], "lower_bound": cost,
+                       "gap": 0.0})
 
     incumbent = warm_start(inst)
     if incumbent is None:
@@ -236,30 +221,38 @@ def solve_diverse_exact(inst: Instance,
     updates = [(time.perf_counter() - start, best_value)]
 
     search = _Search(inst)
-    n = inst.n
-    root = _Node(None, -1, False, 0.0, 0.0, 0,
-                 search.pick_branch_edge(search.res, search.res.usable()))
-    heap: list[tuple[float, int, int, _Node]] = []
-    stack: list[_Node] = []
-    seq = 0
-    heapq.heappush(heap, (0.0, 0, seq, root))
+    res, n = search.res, inst.n
+    # open nodes as (bound, committed, depth, edge, take, branch): edge
+    # (flat i * n + j, -1 at the root) is taken or forbidden on the way
+    # from the parent, branch is the node's own branch edge
+    stack = [(0.0, 0.0, 0, -1, False,
+              search.pick_branch_edge(res, res.usable()))]
+    trail: list[tuple[int, int, bool]] = []  # decisions applied to res
     timed_out = False
 
-    while heap or stack:
+    while stack:
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             break
-        if stack:
-            node = stack.pop()
-        else:
-            _, _, _, node = heapq.heappop(heap)
-        if node.bound >= cutoff:
+        bound, committed, depth, edge, take, flat = stack.pop()
+        if bound >= cutoff:
             search.pruned += 1
             continue
-        res = search.rebuild(node)
+        if edge >= 0:
+            while len(trail) >= depth:
+                i, j, took = trail.pop()
+                if took:
+                    res.untake(i, j)
+                else:
+                    res.unforbid(i, j)
+            i, j = divmod(edge, n)
+            if take:
+                res.take(i, j)
+            else:
+                res.forbid(i, j)
+            trail.append((i, j, take))
         search.expanded += 1
 
-        flat = node.branch
         if flat == -1:
             # all lower bounds met: the committed set is a full candidate
             match = Matching((int(i), int(j))
@@ -273,31 +266,33 @@ def solve_diverse_exact(inst: Instance,
             continue
 
         i, j = divmod(flat, n)
+        children = []
         for take in (True, False):
             if take:
-                committed = node.committed + res.take(i, j)
+                child_committed = committed + res.take(i, j)
             else:
-                committed = node.committed
+                child_committed = committed
                 res.forbid(i, j)
             usable = res.usable()
-            bound = (committed + search.completion_bound(res, usable)
-                     if res.counting_feasible(usable) else math.inf)
-            if bound < cutoff:
-                child = _Node(node, flat, take, committed, bound,
-                              node.depth + 1,
-                              search.pick_branch_edge(res, usable))
-                seq += 1
-                if len(heap) < FRONTIER_CAP:
-                    heapq.heappush(heap, (bound, -child.depth, seq, child))
-                else:
-                    stack.append(child)
+            child_bound = (
+                child_committed + search.completion_bound(res, usable)
+                if res.counting_feasible(usable) else math.inf)
+            if child_bound < cutoff:
+                children.append((child_bound, child_committed, depth + 1,
+                                 flat, take,
+                                 search.pick_branch_edge(res, usable)))
             else:
                 search.pruned += 1
             if take:
                 res.untake(i, j)
             else:
                 res.unforbid(i, j)
+        # the last one pushed pops first: the lower bound, take on a tie
+        if len(children) == 2 and children[0][0] <= children[1][0]:
+            children.reverse()
+        stack.extend(children)
 
+    lower_bound = min([cutoff] + [node[0] for node in stack])
     ok, violations = check_matching(inst, incumbent)
     if not ok:
         raise InternalError("exact solver incumbent violates bounds: "
@@ -313,4 +308,6 @@ def solve_diverse_exact(inst: Instance,
         diversity_cost=value,
         wall_time=time.perf_counter() - start,
         telemetry={"fast_path": False, "expanded": search.expanded,
-                   "pruned": search.pruned, "incumbent_updates": updates})
+                   "pruned": search.pruned, "incumbent_updates": updates,
+                   "lower_bound": lower_bound,
+                   "gap": (value - lower_bound) / value if value else 0.0})

@@ -29,17 +29,22 @@ from ._flow import reduce_to_circulation
 from .errors import InstanceError, MatchingError
 
 
+def _as_int(value, field: str) -> int:
+    """An integer field's value; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InstanceError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_bound_tuple(value, length: int, side: str, limit: int) -> tuple[int, ...]:
     """Broadcast a scalar or validate a per-node sequence of bounds."""
-    if isinstance(value, (bool, float)):
-        raise InstanceError(f"{side} bound must be an integer, got {value!r}")
-    if isinstance(value, (int, np.integer)):
-        seq = [int(value)] * length
-    else:
-        seq = [int(v) for v in value]
+    if isinstance(value, (list, tuple, np.ndarray)):
+        seq = [_as_int(v, f"{side}[{idx}]") for idx, v in enumerate(value)]
         if len(seq) != length:
             raise InstanceError(
                 f"{side} bound has length {len(seq)}, expected {length}")
+    else:
+        seq = [_as_int(value, side)] * length
     for idx, v in enumerate(seq):
         if v < 0:
             raise InstanceError(f"{side}[{idx}] = {v} is negative")
@@ -102,17 +107,19 @@ class Instance:
             raise InstanceError(f"weights[{bad[0]}][{bad[1]}] is negative")
         m, n = w.shape
 
-        if int(k) < 1:
+        k = _as_int(k, "k")
+        if k < 1:
             raise InstanceError(f"k must be positive, got {k}")
-        c = np.array([int(x) for x in clusters], dtype=np.int64)
+        c = np.array([_as_int(x, f"clusters[{i}]")
+                      for i, x in enumerate(clusters)], dtype=np.int64)
         if c.shape != (m,):
             raise InstanceError(f"clusters has length {c.shape[0]}, expected m = {m}")
         for i, ci in enumerate(c):
             if ci < 0 or ci >= k:
-                raise InstanceError(f"clusters[{i}] = {ci} outside 0..{int(k) - 1}")
+                raise InstanceError(f"clusters[{i}] = {ci} outside 0..{k - 1}")
         used = np.unique(c)
         if len(used) != k:
-            missing = sorted(set(range(int(k))) - set(int(x) for x in used))
+            missing = sorted(set(range(k)) - set(int(x) for x in used))
             raise InstanceError(f"cluster ids {missing} unused; k = {k} must be tight")
 
         if not isinstance(bounds, DegreeBounds):
@@ -131,7 +138,7 @@ class Instance:
         c.setflags(write=False)
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_clusters", c)
-        object.__setattr__(self, "_k", int(k))
+        object.__setattr__(self, "_k", k)
         object.__setattr__(self, "_bounds", bounds)
 
     def __setattr__(self, name, value):
@@ -332,6 +339,8 @@ def load_instance(text: str) -> Instance:
         for j, v in enumerate(row):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise InstanceError(f"weights[{i}][{j}] is not a number")
+    if not isinstance(doc["clusters"], list) or len(doc["clusters"]) != m:
+        raise InstanceError(f"clusters must be a list of m = {m} labels")
     bounds_doc = doc["bounds"]
     if not isinstance(bounds_doc, dict):
         raise InstanceError("bounds must be an object")

@@ -89,10 +89,6 @@ class ClusterSums:
         return self._cost
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._edges)
-
-    @property
     def table(self) -> np.ndarray:
         """Read-only view of the sums, indexed [right node, cluster]."""
         view = self._sums.view()

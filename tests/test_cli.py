@@ -240,3 +240,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert json.loads(err)["error"]
+
+    def test_non_integer_cluster_label_exits_usage(self, tmp_path, capsys):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({
+            "m": 2, "n": 2, "k": 2, "weights": [[1.0, 2.0], [3.0, 4.0]],
+            "clusters": [0, "x"],
+            "bounds": {"L_lo": 0, "L_hi": 2, "R_lo": 1, "R_hi": 2}}))
+        code = main(["solve", "--alg", "wbm", str(path),
+                     str(tmp_path / "o.json")])
+        assert code == EXIT_USAGE
+        assert "clusters[1]" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("budget", ["nan", "-5"])
+    def test_bad_budget_exits_usage(self, budget, tmp_path, capsys):
+        inst_path = write_instance(tmp_path)
+        code = main(["solve", "--alg", "dwbm", "--budget-ms", budget,
+                     str(inst_path), str(tmp_path / "o.json")])
+        assert code == EXIT_USAGE
+        assert "budget_ms" in json.loads(capsys.readouterr().err)["message"]

@@ -1,8 +1,10 @@
 """Tests for the exact diverse solver: fast path, branch and bound, budgets."""
 
 import numpy as np
+import pytest
 
 from divmatch import (
+    ConfigError,
     DegreeBounds,
     EnumerationBudget,
     FEASIBLE_INCUMBENT,
@@ -20,7 +22,7 @@ from divmatch import (
     solve_min_weight,
     warm_start,
 )
-from divmatch import exact
+from divmatch import exact, objective
 from conftest import random_instance
 
 
@@ -59,6 +61,12 @@ class TestOracleAgreement:
                 rep.diversity_cost, oracle.diversity_cost, rtol=0, atol=1e-9)
             ok, violations = check_matching(inst, rep.matching)
             assert ok, violations
+            # a proof certifies the optimum to within the pruning tolerance
+            bound = rep.telemetry["lower_bound"]
+            slack = exact.PRUNE_TOL * oracle.diversity_cost + 1e-12
+            assert oracle.diversity_cost - slack <= bound
+            assert bound <= oracle.diversity_cost + 1e-12
+            assert 0.0 <= rep.telemetry["gap"] <= exact.PRUNE_TOL + 1e-12
             if not rep.telemetry.get("fast_path"):
                 via_search += 1
         assert via_search >= 25
@@ -151,37 +159,57 @@ class TestAnytimeBudget:
             oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
             assert rep.diversity_cost >= oracle.diversity_cost - 1e-9
 
+    def test_rejects_negative_or_nan_budget(self):
+        inst = random_instance(np.random.default_rng(423))
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                solve_diverse_exact(inst, budget_ms=bad)
 
-class TestFrontierCap:
-    def test_depth_first_fallback_stays_exact(self, monkeypatch):
-        # With a cap of 1 every second child goes to the depth-first
-        # stack, so the search order changes but the optimum must not.
-        rng = np.random.default_rng(425)
-        budget = EnumerationBudget(max_subsets=1 << 16, max_wall_s=120.0)
-        checked = reordered = 0
+
+class TestCertifiedBound:
+    def test_budgeted_bound_brackets_the_optimum(self):
+        # Proven optimum of this instance from one unbudgeted solve.
+        optimum = 2.395660095501542
+        inst = gen_instance(GeneratorConfig(m=10, n=10, k=3, l_lo=1,
+                                            l_hi=10, r_lo=3, seed=(1, 10)))
+        rep = solve_diverse_exact(inst, budget_ms=300)
+        assert rep.status == FEASIBLE_INCUMBENT
+        bound = rep.telemetry["lower_bound"]
+        assert bound <= optimum <= rep.diversity_cost
+        np.testing.assert_allclose(
+            rep.telemetry["gap"],
+            (rep.diversity_cost - bound) / rep.diversity_cost, rtol=1e-12)
+
+
+class TestResync:
+    def test_frequent_resync_keeps_the_answer(self, monkeypatch):
+        # One residual lives through the whole search, so long proofs
+        # pass RESYNC_INTERVAL; recomputing the sums must not change
+        # the result.
+        rng = np.random.default_rng(426)
+        checked = 0
         for _ in range(400):
-            inst = random_instance(rng, max_m=4, max_n=5, max_cells=16)
-            if inst.right_only:
-                continue
+            inst = random_instance(rng, max_m=5, max_n=5, max_cells=25)
             default = solve_diverse_exact(inst)
-            if default.status != OPTIMAL:
+            if (default.status == INFEASIBLE
+                    or default.telemetry["expanded"] < 5):
                 continue
             with monkeypatch.context() as patch:
-                patch.setattr(exact, "FRONTIER_CAP", 1)
+                patch.setattr(objective, "RESYNC_INTERVAL", 5)
                 rep = solve_diverse_exact(inst)
-            if rep.telemetry["expanded"] <= 1:
-                continue
-            assert rep.status == OPTIMAL
-            oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
-            tol = 1e-9 * float(inst.weights.sum()) ** 2
-            assert abs(rep.diversity_cost - oracle.diversity_cost) <= tol
-            reordered += (rep.telemetry["expanded"]
-                          != default.telemetry["expanded"])
+            assert rep.status == default.status
+            assert rep.matching == default.matching
+            # a resync that skews the sums moves the bounds, and with
+            # them the nodes searched, even where the answer survives
+            for key in ("expanded", "pruned"):
+                assert rep.telemetry[key] == default.telemetry[key]
+            np.testing.assert_allclose(rep.diversity_cost,
+                                       default.diversity_cost, rtol=1e-9,
+                                       atol=0)
             checked += 1
             if checked == 30:
                 break
         assert checked == 30
-        assert reordered > 0
 
 
 class TestWarmStart:

@@ -1,6 +1,8 @@
 """Tests for the instance model: bounds, validation, matchings, file I/O."""
 
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +100,11 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError):
             Instance(np.ones((2, 2)), np.array([0, 1]), 2,
                      DegreeBounds.broadcast(2, 2, 0, 3, 0, 2))
+
+    def test_rejects_non_integer_k(self):
+        with pytest.raises(InstanceError, match="k must be an integer"):
+            Instance(np.ones((2, 2)), np.array([0, 1]), 2.5,
+                     DegreeBounds.broadcast(2, 2, 0, 2, 0, 2))
 
     def test_immutable(self):
         inst = tiny_instance()
@@ -262,6 +269,35 @@ class TestSerialization:
         inst = load_instance(doc)
         assert inst.bounds.l_hi == (2,)
         assert inst.bounds.r_hi == (1, 1)
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("clusters", [0, 1.7], "clusters[1]"),
+        ("clusters", [0, True], "clusters[1]"),
+        ("clusters", [0, "1"], "clusters[1]"),
+        ("clusters", 3, "clusters"),
+        ("L_lo", [1.5, 0], "L_lo[0]"),
+        ("R_hi", [2, "2"], "R_hi[1]"),
+        ("L_hi", [2, False], "L_hi[1]"),
+        ("R_lo", "1", "R_lo"),
+        ("L_lo", True, "L_lo"),
+        ("R_lo", 1.5, "R_lo"),
+    ])
+    def test_non_integer_labels_and_bounds_rejected(self, field, value,
+                                                   named):
+        doc = {"m": 2, "n": 2, "k": 2, "weights": [[1.0, 2.0], [3.0, 4.0]],
+               "clusters": [0, 1],
+               "bounds": {"L_lo": 0, "L_hi": 2, "R_lo": 1, "R_hi": 2}}
+        (doc if field == "clusters" else doc["bounds"])[field] = value
+        with pytest.raises(InstanceError, match=re.escape(named)):
+            load_instance(json.dumps(doc))
+
+    def test_numpy_integer_labels_and_bounds_accepted(self):
+        b = DegreeBounds.broadcast(2, 2, np.int32(0), np.array([2, 2]),
+                                   np.int64(1), [np.int64(2), 2])
+        inst = Instance(np.ones((2, 2)), np.array([0, 1], dtype=np.int8), 2,
+                        b)
+        assert inst.bounds.l_hi == (2, 2)
+        assert inst.clusters.tolist() == [0, 1]
 
     def test_missing_field_is_named(self):
         with pytest.raises(InstanceError, match="bounds"):

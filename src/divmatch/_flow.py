@@ -7,9 +7,9 @@ drain to a sink within their intervals, and a free sink-to-source bypass
 lets the edge count float.  reduce_to_circulation removes the lower
 bounds by the standard surplus transformation (a super source and super
 sink carry each bound as a requirement arc) and returns the residual
-graph.  The same graph answers both questions asked of it: Dinic max
-flow for feasibility (are the requirement arcs saturable?) and
-successive shortest paths for the minimum-weight circulation.
+graph, on which successive shortest paths find the minimum-weight
+circulation.  Feasibility needs no flow: on the complete bipartite graph
+instance.is_feasible_bounds decides it by counting.
 
 Arc order is fixed: supplies by left node, edges in (left, right)
 lexicographic order, demands by right node, the bypass, then the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -58,48 +57,6 @@ class Graph:
     def flow_on(self, arc: int) -> int:
         """Flow currently routed over an arc returned by add."""
         return self.cap[arc ^ 1]
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Dinic's algorithm; returns the flow value s->t."""
-        num = len(self.adj)
-        adj, to, cap = self.adj, self.to, self.cap
-
-        def push(u: int, f: int) -> int:
-            if u == t:
-                return f
-            arcs = adj[u]
-            while it[u] < len(arcs):
-                a = arcs[it[u]]
-                v = to[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    d = push(v, min(f, cap[a]))
-                    if d > 0:
-                        cap[a] -= d
-                        cap[a ^ 1] += d
-                        return d
-                it[u] += 1
-            return 0
-
-        flow = 0
-        while True:
-            level = [-1] * num
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for a in adj[u]:
-                    v = to[a]
-                    if cap[a] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * num
-            while True:
-                f = push(s, 1 << 62)
-                if f == 0:
-                    break
-                flow += f
 
     def min_cost_flow(self, s: int, t: int) -> tuple[int, int]:
         """Max flow s->t at minimum cost by successive shortest paths.
@@ -161,16 +118,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The lowered circulation of one instance, ready for either solve.
+    """The lowered circulation of one instance, ready for one solve.
 
     Node layout: 0 = source, 1 = sink, 2..2+m-1 = left nodes,
     2+m..2+m+n-1 = right nodes, then the super source and super sink.
     All lower bounds are met exactly when a flow of need units reaches
-    the super sink.  edge_arcs[i][j] is the arc of edge (i, j).  The
-    requirement arcs that carry a lower bound are left_req ((i, arc of
-    super source -> left i) per L_lo[i] > 0), right_req ((j, arc of
-    right j -> super sink) per R_lo[j] > 0) and right_total (super
-    source -> sink, carrying sum(R_lo); -1 when that sum is 0).  A solve
+    the super sink.  edge_arcs[i][j] is the arc of edge (i, j).  A solve
     leaves its flow in the graph, so each network serves one solve.
     """
 
@@ -179,9 +132,6 @@ class FlowNetwork:
     sink: int
     need: int
     edge_arcs: tuple[range, ...] = field(repr=False)
-    left_req: tuple[tuple[int, int], ...]
-    right_req: tuple[tuple[int, int], ...]
-    right_total: int
 
 
 def reduce_to_circulation(inst: Instance) -> FlowNetwork:
@@ -207,10 +157,12 @@ def reduce_to_circulation(inst: Instance) -> FlowNetwork:
     total_l, total_r = sum(b.l_lo), sum(b.r_lo)
     if total_l > 0:
         g.add(s, tt, total_l)
-    right_total = g.add(ss, t, total_r) if total_r > 0 else -1
-    left_req = tuple((i, g.add(ss, left0 + i, lo))
-                     for i, lo in enumerate(b.l_lo) if lo > 0)
-    right_req = tuple((j, g.add(right0 + j, tt, lo))
-                      for j, lo in enumerate(b.r_lo) if lo > 0)
-    return FlowNetwork(g, ss, tt, total_l + total_r, edge_arcs, left_req,
-                       right_req, right_total)
+    if total_r > 0:
+        g.add(ss, t, total_r)
+    for i, lo in enumerate(b.l_lo):
+        if lo > 0:
+            g.add(ss, left0 + i, lo)
+    for j, lo in enumerate(b.r_lo):
+        if lo > 0:
+            g.add(right0 + j, tt, lo)
+    return FlowNetwork(g, ss, tt, total_l + total_r, edge_arcs)

@@ -144,7 +144,8 @@ class TrialBatch:
             egs = [r.report.eg for r in grp if r.report.eg is not None]
             scored = [r for r in grp
                       if r.greedy_cost is not None and r.exact_cost is not None]
-            agree = [1.0 if abs(r.greedy_cost - r.exact_cost) <= 1e-9 else 0.0
+            agree = [1.0 if abs(r.greedy_cost - r.exact_cost)
+                     <= 1e-9 * max(r.greedy_cost, r.exact_cost) else 0.0
                      for r in scored]
             out.append({
                 "k": k,

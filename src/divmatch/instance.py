@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._flow import reduce_to_circulation
 from .errors import InstanceError, MatchingError
 
 
@@ -265,33 +264,66 @@ class Matching:
 # feasibility and validation
 # ---------------------------------------------------------------------------
 
+def _first_overload(lo: np.ndarray, hi_other: np.ndarray):
+    """Smallest node set whose lower bounds the other side cannot absorb.
+
+    Taking lo in decreasing order (ties to the lower id), the first a
+    nodes need the most edges of any a nodes, while the other side
+    admits at most sum_j min(a, hi_other[j]) edges into any a nodes.
+    Returns (sorted node ids, edges needed, edges admitted) for the
+    smallest a that fails, or None when none does.
+    """
+    order = np.argsort(-lo, kind="stable")
+    need = np.cumsum(lo[order])
+    sizes = np.arange(1, len(lo) + 1)[:, None]
+    admit = np.minimum(sizes, hi_other).sum(axis=1)
+    over = np.flatnonzero(need > admit)
+    if over.size == 0:
+        return None
+    a = int(over[0])
+    return sorted(order[:a + 1].tolist()), int(need[a]), int(admit[a])
+
+
 def is_feasible_bounds(inst: Instance) -> tuple[bool, str]:
     """Decide whether any matching can satisfy all degree bounds.
 
-    Exact test: max flow on the lowered circulation saturates every
-    lower-bound requirement arc exactly when some matching fits.  Returns
-    (feasible, diagnostic); on failure the diagnostic names the side (and
-    node, when one is identifiable) whose lower bounds cannot be met.
-    """
-    net = reduce_to_circulation(inst)
-    g = net.graph
-    if g.max_flow(net.source, net.sink) == net.need:
-        return True, "feasible"
+    Exact test by counting.  Some matching fits every bound if and only if
+      (left)  for a = 1..m, the a largest L_lo sum to at most
+              sum_j min(a, R_hi[j]), and
+      (right) for b = 1..n, the b largest R_lo sum to at most
+              sum_i min(b, L_hi[i]).
+    Both are necessary: a left nodes share at most min(a, R_hi[j]) edges
+    with right node j.  On the complete bipartite graph they are also
+    sufficient.  Every left-right pair is an edge, so the number of edges
+    a cut of the lowered circulation severs depends only on how many
+    nodes it holds on each side, and Hoffman's circulation theorem
+    reduces to the Gale-Ryser inequalities: (left) holds exactly when
+    some matching meets every left lower bound within both upper bounds,
+    (right) the same for the right side, and on a bipartite graph two
+    such matchings imply one that meets all four bounds (the linking
+    property of degree-constrained subgraphs).
 
-    # a requirement arc with residual capacity left names an unmet bound
+    Returns (feasible, diagnostic).  The diagnostic names the first
+    inequality that fails, left before right and the smallest set
+    first: a single node ("left node i cannot reach its lower bound
+    ...") or the node set, the edges it needs and the capacity the
+    other side admits.  It depends on the bounds alone.
+    """
     b = inst.bounds
-    for i, arc in net.left_req:
-        if g.cap[arc] > 0:
-            return False, (f"left node {i} cannot reach its lower bound "
-                           f"{b.l_lo[i]} (right-side capacity too small)")
-    for j, arc in net.right_req:
-        if g.cap[arc] > 0:
-            return False, (f"right node {j} cannot reach its lower bound "
-                           f"{b.r_lo[j]} (left-side capacity too small)")
-    if net.right_total >= 0 and g.cap[net.right_total] > 0:
-        return False, ("right-side lower bounds total "
-                       f"{sum(b.r_lo)} exceed what left capacities can supply")
-    return False, "left-side lower bounds exceed what right capacities can absorb"
+    for side, other, lo, hi_other in (("left", "right", b.l_lo, b.r_hi),
+                                      ("right", "left", b.r_lo, b.l_hi)):
+        found = _first_overload(np.array(lo), np.array(hi_other))
+        if found is None:
+            continue
+        nodes, need, admitted = found
+        if len(nodes) == 1:
+            return False, (f"{side} node {nodes[0]} cannot reach its lower "
+                           f"bound {need} ({other}-side capacity too small)")
+        names = ", ".join(map(str, nodes[:-1])) + f" and {nodes[-1]}"
+        return False, (f"{side} nodes {names} cannot reach their lower bounds "
+                       f"together (they need {need} edges, {other}-side "
+                       f"capacity admits {admitted})")
+    return True, "feasible"
 
 
 def check_matching(inst: Instance, match: Matching) -> tuple[bool, list[str]]:

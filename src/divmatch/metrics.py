@@ -55,15 +55,27 @@ def entropy_gain(inst: Instance, baseline: Matching, diverse: Matching,
     """
     eb = entropy_profile(inst, baseline, base=base)
     ed = entropy_profile(inst, diverse, base=base)
+    return _profile_gain(eb, ed)[2:]
+
+
+def _profile_gain(eb: list[Optional[float]], ed: list[Optional[float]]):
+    """(avg baseline, avg diverse, gain, diagnostic) of two profiles.
+
+    The averages run over the nodes defined in both profiles and are
+    None when there is none; the gain is None with a diagnostic when
+    the averages cannot give it (see entropy_gain).
+    """
     pairs = [(b, d) for b, d in zip(eb, ed) if b is not None and d is not None]
     if not pairs:
-        return None, "no right node has selected edges in both matchings"
+        return (None, None, None,
+                "no right node has selected edges in both matchings")
     avg_b = math.fsum(b for b, _ in pairs) / len(pairs)
     avg_d = math.fsum(d for _, d in pairs) / len(pairs)
     if avg_b == 0.0:
-        return None, ("baseline average entropy is zero (all single-cluster "
-                      "neighborhoods); entropy gain is undefined")
-    return avg_d / avg_b, ""
+        return avg_b, avg_d, None, (
+            "baseline average entropy is zero (all single-cluster "
+            "neighborhoods); entropy gain is undefined")
+    return avg_b, avg_d, avg_d / avg_b, ""
 
 
 def price_of_diversity(weight_baseline: float,
@@ -209,10 +221,7 @@ def compute_metrics(inst: Instance, baseline_report, diverse_report,
         raise ValueError("metrics need two solved matchings")
     eb = entropy_profile(inst, mb)
     ed = entropy_profile(inst, md)
-    pairs = [(b, d) for b, d in zip(eb, ed) if b is not None and d is not None]
-    avg_b = math.fsum(b for b, _ in pairs) / len(pairs) if pairs else None
-    avg_d = math.fsum(d for _, d in pairs) / len(pairs) if pairs else None
-    eg, eg_diag = entropy_gain(inst, mb, md)
+    avg_b, avg_d, eg, eg_diag = _profile_gain(eb, ed)
     pod = price_of_diversity(baseline_report.total_weight,
                              diverse_report.total_weight)
     pod_diag = "" if pod is not None else "diverse weight is zero; PoD undefined"

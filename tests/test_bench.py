@@ -1,6 +1,7 @@
 """Tests for instance generation and the benchmark sweeps."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestClusterSweep:
         assert first[0] == "2" and first[1] == "6"
         pod_mean = float(first[2])
         assert 0.0 < pod_mean <= 1.0 + 1e-9
+
+    def test_agreement_is_relative_to_the_cost_scale(self):
+        batch = run_cluster_sweep(k_values=(2,), trials=1, m=4, n=4,
+                                  r_lo=2, seed=19)
+
+        def rate(greedy_cost, exact_cost):
+            row = replace(batch.rows[0], greedy_cost=greedy_cost,
+                          exact_cost=exact_cost)
+            return replace(batch, rows=[row]).summary()[0]["agreement_rate"]
+
+        # 30% apart at 1e-12 disagrees; a last-digit difference at 1e6 agrees.
+        assert rate(1.3e-12, 1.0e-12) == 0.0
+        assert rate(1e6 * (1 + 1e-14), 1e6) == 1.0
+        assert rate(0.0, 0.0) == 1.0
 
     def test_trials_csv_has_expected_shape(self):
         batch = run_cluster_sweep(k_values=(2,), trials=4, m=5, n=5,

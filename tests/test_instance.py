@@ -21,6 +21,7 @@ from divmatch import (
     is_feasible_bounds,
     load_instance,
     load_matching,
+    reduce_to_circulation,
     save_instance,
     save_matching,
     solve_diverse_exact,
@@ -42,6 +43,13 @@ def unit_instance(m, n, l_lo, l_hi, r_lo, r_hi):
     """Unit weights, one cluster, per-node bounds."""
     bounds = DegreeBounds.broadcast(m, n, l_lo, l_hi, r_lo, r_hi)
     return Instance(np.ones((m, n)), np.zeros(m, dtype=int), 1, bounds)
+
+
+def named_culprit(why):
+    """(side, node ids) that an infeasibility diagnostic names."""
+    side, ids = re.match(r"(left|right) nodes? ([\d, and]+) cannot",
+                         why).groups()
+    return side, [int(v) for v in re.findall(r"\d+", ids)]
 
 
 class TestDegreeBounds:
@@ -179,12 +187,68 @@ class TestFeasibility:
         assert why != ""
 
     def test_diagnostic_names_the_only_culprit(self):
-        # Left node 0 needs 2 edges but right node 1 takes none, so every
-        # maximum flow leaves left node 0's requirement unmet.
+        # Left node 0 needs 2 edges but right node 1 takes none, so only
+        # one right node can serve it: the count fails at left node 0 alone.
         inst = unit_instance(2, 2, (2, 0), (2, 2), (0, 0), (2, 0))
         assert is_feasible_bounds(inst) == (
             False, "left node 0 cannot reach its lower bound 2 "
                    "(right-side capacity too small)")
+
+    def test_diagnostic_names_the_overloaded_set(self):
+        # Each of left nodes 0 and 1 meets its bound alone, using right
+        # nodes 0 and 1, but together they need 4 edges and those two
+        # right nodes admit only 2 + 1.
+        inst = unit_instance(3, 3, (2, 2, 0), (2, 2, 0), (0, 0, 0), (2, 1, 0))
+        assert is_feasible_bounds(inst) == (
+            False, "left nodes 0 and 1 cannot reach their lower bounds "
+                   "together (they need 4 edges, right-side capacity "
+                   "admits 3)")
+
+    def test_diagnostic_ties_go_to_the_lowest_id(self):
+        inst = unit_instance(2, 2, (2, 2), (2, 2), (0, 0), (2, 0))
+        assert is_feasible_bounds(inst)[1].startswith("left node 0 cannot")
+
+    def test_reversing_node_order_relabels_the_culprit(self):
+        rng = np.random.default_rng(11)
+        mapped = 0
+        for _ in range(2000):
+            inst = random_instance(rng, max_m=7, max_n=7, max_cells=49,
+                                   per_node=True)
+            b = inst.bounds
+            rev = Instance(inst.weights[::-1, ::-1], inst.clusters[::-1],
+                           inst.k, DegreeBounds(b.l_lo[::-1], b.l_hi[::-1],
+                                                b.r_lo[::-1], b.r_hi[::-1]))
+            feasible, why = is_feasible_bounds(inst)
+            feasible_rev, why_rev = is_feasible_bounds(rev)
+            assert feasible_rev == feasible
+            if feasible:
+                continue
+            side, nodes = named_culprit(why)
+            side_rev, nodes_rev = named_culprit(why_rev)
+            assert (side_rev, len(nodes_rev)) == (side, len(nodes))
+            lo = np.array(b.l_lo if side == "left" else b.r_lo)
+            unnamed = np.delete(lo, nodes)
+            if unnamed.size and lo[nodes].min() == unnamed.max():
+                continue  # a tie: another set of the same size fails too
+            assert nodes_rev == sorted(len(lo) - 1 - v for v in nodes)
+            mapped += 1
+        assert mapped >= 500
+
+    def test_counting_agrees_with_min_cost_flow(self):
+        # Two independent methods beyond the oracle's sizes: the count
+        # inequalities, and whether a maximum flow on the lowered
+        # circulation meets every lower bound.
+        rng = np.random.default_rng(23)
+        infeasible = 0
+        for _ in range(500):
+            inst = random_instance(rng, max_m=20, max_n=20, max_cells=400,
+                                   per_node=True)
+            net = reduce_to_circulation(inst)
+            sent, _ = net.graph.min_cost_flow(net.source, net.sink)
+            feasible, why = is_feasible_bounds(inst)
+            assert feasible == (sent == net.need), why
+            infeasible += not feasible
+        assert infeasible >= 100
 
     def test_feasible_per_node_bounds_found_feasible(self):
         # Flow pushed back along a reverse arc must credit its partner

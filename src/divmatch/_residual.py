@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, Matching
 from .objective import ClusterSums
 
 
@@ -53,11 +53,23 @@ class Residual:
         self.deg_r[j] -= 1
         self.sums.remove(i, j)
 
-    def forbid(self, i: int, j: int) -> None:
+    def decide(self, i: int, j: int, take: bool) -> float:
+        """Take or forbid edge (i, j); returns the cost increase."""
+        if take:
+            return self.take(i, j)
         self.closed[i, j] = True
+        return 0.0
 
-    def unforbid(self, i: int, j: int) -> None:
-        self.closed[i, j] = False
+    def undo(self, i: int, j: int, took: bool) -> None:
+        """Reverse decide(i, j, took)."""
+        if took:
+            self.untake(i, j)
+        else:
+            self.closed[i, j] = False
+
+    def matching(self) -> Matching:
+        """The taken edges."""
+        return Matching(np.argwhere(self.taken).tolist())
 
     def owing(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the left and right nodes below their lower bounds."""

@@ -58,6 +58,8 @@ def gen_instance(cfg: GeneratorConfig) -> Instance:
             "left nodes")
     if min(cfg.m, cfg.n, cfg.k) < 1:
         raise ConfigError("m, n, k must all be positive")
+    if np.any(np.asarray(cfg.seed) < 0):
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed!r}")
     rng = np.random.default_rng(cfg.seed)
     weights = rng.random((cfg.m, cfg.n))
     clusters = rng.integers(0, cfg.k, size=cfg.m)

@@ -175,7 +175,11 @@ def _cmd_run_bounds(args) -> int:
 
 
 def _cmd_run_scaling(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise ConfigError("--sizes must be comma-separated integers, got "
+                          f"{args.sizes!r}") from None
     rows = run_scaling(sizes=sizes, n=args.n, k=args.k, r_lo=args.r_lo,
                        l_lo=args.l_lo, seed=args.seed,
                        budget_ms=args.budget_ms)

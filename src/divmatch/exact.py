@@ -20,16 +20,20 @@ after they are priced, and the child with the lower bound is popped
 first.  Open nodes live on an explicit stack that never holds more than
 one pending sibling per level, so memory stays linear in the depth.
 
-Branching picks the heaviest usable edge incident to an owing node.
-The lower bound is the committed cost plus an optimistic completion
-estimate: every owing node must still add d edges, each costing at
-least its marginal gain against the committed cluster sums, so the d
-cheapest such gains sum to a valid floor (taken per side, then the
-larger side, since one edge can serve both sides at once).  Because the
-objective is monotone, a node whose lower bounds are all met is a
-complete candidate solution; its committed edge set is the incumbent
-candidate and the subtree closes.  Each node's branch edge is picked
-when the node is created, from the same usable-edge mask that priced it.
+The lower bound is the committed cost plus a completion floor from one
+gains matrix: entry (i, j) is edge (i, j)'s marginal gain against the
+committed cluster sums, infinite where the edge is not usable.  An
+owing node that must still add d edges pays at least the d cheapest
+entries of its row (left node) or column (right node); each side's
+total is a floor, and the larger one wins (the two are not added: one
+edge can pay a debt on both sides).  As the objective is monotone, a
+node whose lower bounds are all met is a complete candidate; its
+committed edge set is offered as the incumbent and the subtree closes.
+
+One pricing step handles every node, the root included: usable mask,
+counting check, bound, cutoff, then, for a kept node, its branch edge
+(the heaviest usable edge at an owing node).  The root thus enters the
+stack with its real bound.
 
 The search is anytime: a greedy warm start seeds the incumbent and a
 millisecond budget stops the search early with the best incumbent.
@@ -73,12 +77,13 @@ def warm_start(inst: Instance) -> Optional[Matching]:
     return rep.matching
 
 
-def _solve_right_constrained(inst: Instance) -> Matching:
-    """Per-right-node exact optimum of a right_only instance."""
+def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
+    """Per-right-node exact optimum of a right_only instance, and its cost."""
     b = inst.bounds
     members = [np.nonzero(inst.clusters == c)[0] for c in range(inst.k)]
 
     edges: list[tuple[int, int]] = []
+    cost = 0.0
     for j in range(inst.n):
         demand = b.r_lo[j]
         if demand == 0:
@@ -108,70 +113,135 @@ def _solve_right_constrained(inst: Instance) -> Matching:
             raise InternalError(
                 f"right node {j} cannot meet demand {demand} with {inst.m} "
                 "left nodes")
+        cost += float(dp[demand])
         t = demand
         for c in range(inst.k - 1, -1, -1):
             take = int(takes[c][t])
             edges.extend((int(i), j) for i in order[c][:take])
             t -= take
-    return Matching(edges)
+    return Matching(edges), cost
 
 
-class _Search:
-    """Bound, branching rule and counters of one branch-and-bound run."""
+def _cheapest(gains: np.ndarray, need: np.ndarray) -> float:
+    """Sum over rows of each row's need[row] smallest gains."""
+    rows = np.nonzero(need > 0)[0]
+    if rows.size == 0:
+        return 0.0
+    prefix = np.sort(gains[rows], axis=1).cumsum(axis=1)
+    return float(prefix[np.arange(rows.size), need[rows] - 1].sum())
 
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.res = Residual(inst)
-        self.expanded = 0
-        self.pruned = 0
 
-    def completion_bound(self, res: Residual, usable: np.ndarray) -> float:
-        """Optimistic extra cost to satisfy all residual lower bounds.
+def completion_bound(res: Residual, usable: np.ndarray) -> float:
+    """Optimistic extra cost to satisfy all residual lower bounds.
 
-        Called only on states that pass res.counting_feasible(usable), so
-        every owing node has at least as many usable edges as it owes.
-        """
-        w = self.inst.weights
-        clusters = self.inst.clusters
-        sums = res.sums.table
+    Called only on states that pass res.counting_feasible(usable), so
+    every owing node has at least as many usable edges as it owes.
+    """
+    w = res.inst.weights
+    gains = w * w + (2.0 * w) * res.sums.table[:, res.inst.clusters].T
+    gains[~usable] = math.inf
+    return max(_cheapest(gains.T, res.r_lo - res.deg_r),
+               _cheapest(gains, res.l_lo - res.deg_l))
 
-        total_r = 0.0
-        for j in np.nonzero(res.r_lo - res.deg_r > 0)[0]:
-            d = int(res.r_lo[j] - res.deg_r[j])
-            rows = np.nonzero(usable[:, j])[0]
-            col = w[rows, j]
-            gains = col * col + (2.0 * col) * sums[j, clusters[rows]]
-            total_r += float(np.partition(gains, d - 1)[:d].sum())
 
-        total_l = 0.0
-        for i in np.nonzero(res.l_lo - res.deg_l > 0)[0]:
-            d = int(res.l_lo[i] - res.deg_l[i])
-            cols = np.nonzero(usable[i, :])[0]
-            row = w[i, cols]
-            gains = row * row + (2.0 * row) * sums[cols, clusters[i]]
-            total_l += float(np.partition(gains, d - 1)[:d].sum())
+def _branch_edge(res: Residual, usable: np.ndarray) -> int:
+    """Flat index i * n + j of the heaviest usable edge at an owing node.
 
-        return max(total_r, total_l)
+    -1 when no node owes.  A state that passes the counting check always
+    has a usable edge at an owing node.
+    """
+    owing_l, owing_r = res.owing()
+    if not owing_r.any() and not owing_l.any():
+        return -1
+    pool = usable & owing_r[None, :]
+    if not pool.any():
+        pool = usable & owing_l[:, None]
+    if not pool.any():
+        raise InternalError("owing node with no usable edge passed the "
+                            "counting check")
+    # ties: argmax takes the first, (i, j) lex
+    return int(np.argmax(np.where(pool, res.inst.weights, -math.inf)))
 
-    def pick_branch_edge(self, res: Residual, usable: np.ndarray) -> int:
-        """Heaviest usable edge at an owing node; -1 when none owed.
 
-        Called only on states that pass the counting check (the root
-        passes the exact feasibility check), so an owing node always
-        has a usable edge.
-        """
-        owing_l, owing_r = res.owing()
-        if not owing_r.any() and not owing_l.any():
-            return -1
-        pool = usable & owing_r[None, :]
-        if not pool.any():
-            pool = usable & owing_l[:, None]
-        if not pool.any():
-            raise InternalError("owing node with no usable edge passed the "
-                                "counting check")
-        w = np.where(pool, self.inst.weights, -math.inf)
-        flat = int(np.argmax(w))  # ties: argmax takes the first, (i, j) lex
-        return flat
+def _price(res: Residual, committed: float,
+           cutoff: float) -> Optional[tuple[float, int]]:
+    """(bound, branch edge) of res's state, or None if it is pruned."""
+    usable = res.usable()
+    if not res.counting_feasible(usable):
+        return None
+    bound = committed + completion_bound(res, usable)
+    if bound >= cutoff:
+        return None
+    return bound, _branch_edge(res, usable)
+
+
+def _branch_and_bound(inst: Instance, start: float,
+                      deadline: Optional[float]):
+    """(incumbent, its tracked cost, lower bound, timed out, telemetry)."""
+    incumbent = warm_start(inst)
+    if incumbent is None:
+        raise InternalError("feasibility pre-check passed but no warm start")
+    best_value = diversity_cost(inst, incumbent)
+    cutoff = best_value - PRUNE_TOL * best_value
+    updates = [(time.perf_counter() - start, best_value)]
+
+    res, n = Residual(inst), inst.n
+    root = _price(res, 0.0, cutoff)
+    expanded, pruned = 0, int(root is None)
+    # open nodes as (bound, committed, depth, edge, take, branch): edge
+    # (flat i * n + j, -1 at the root) is taken or forbidden on the way
+    # from the parent, branch is the node's own branch edge
+    stack = [] if root is None else [(root[0], 0.0, 0, -1, False, root[1])]
+    trail: list[tuple[int, int, bool]] = []  # decisions applied to res
+    timed_out = False
+
+    while stack:
+        if deadline is not None and time.perf_counter() > deadline:
+            timed_out = True
+            break
+        bound, committed, depth, edge, take, flat = stack.pop()
+        if bound >= cutoff:
+            pruned += 1
+            continue
+        if edge >= 0:
+            while len(trail) >= depth:
+                res.undo(*trail.pop())
+            i, j = divmod(edge, n)
+            res.decide(i, j, take)
+            trail.append((i, j, take))
+        expanded += 1
+
+        if flat == -1:
+            # all lower bounds met: the committed set is a full candidate
+            match = res.matching()
+            value = diversity_cost(inst, match)
+            if value < cutoff:
+                best_value = value
+                cutoff = best_value - PRUNE_TOL * best_value
+                incumbent = match
+                updates.append((time.perf_counter() - start, value))
+            continue
+
+        i, j = divmod(flat, n)
+        children = []
+        for take in (True, False):
+            child_committed = committed + res.decide(i, j, take)
+            priced = _price(res, child_committed, cutoff)
+            if priced is None:
+                pruned += 1
+            else:
+                children.append((priced[0], child_committed, depth + 1,
+                                 flat, take, priced[1]))
+            res.undo(i, j, take)
+        # the last one pushed pops first: the lower bound, take on a tie
+        if len(children) == 2 and children[0][0] <= children[1][0]:
+            children.reverse()
+        stack.extend(children)
+
+    lower_bound = min([cutoff] + [node[0] for node in stack])
+    return incumbent, best_value, lower_bound, timed_out, {
+        "fast_path": False, "expanded": expanded, "pruned": pruned,
+        "incumbent_updates": updates}
 
 
 def solve_diverse_exact(inst: Instance,
@@ -199,115 +269,29 @@ def solve_diverse_exact(inst: Instance,
             wall_time=time.perf_counter() - start, diagnostic=why)
 
     if inst.right_only:
-        fast = _solve_right_constrained(inst)
-        ok, violations = check_matching(inst, fast)
-        if not ok:
-            raise InternalError("decomposed optimum violates bounds: "
-                                + "; ".join(violations))
-        cost = diversity_cost(inst, fast)
-        return SolveReport(
-            algorithm="diverse_exact", status=OPTIMAL, matching=fast,
-            total_weight=total_weight(inst, fast), diversity_cost=cost,
-            wall_time=time.perf_counter() - start,
-            telemetry={"fast_path": True, "expanded": 0, "pruned": 0,
-                       "incumbent_updates": [], "lower_bound": cost,
-                       "gap": 0.0})
+        incumbent, tracked = _solve_right_constrained(inst)
+        lower_bound, timed_out = None, False
+        telemetry = {"fast_path": True, "expanded": 0, "pruned": 0,
+                     "incumbent_updates": []}
+    else:
+        incumbent, tracked, lower_bound, timed_out, telemetry = (
+            _branch_and_bound(inst, start, deadline))
 
-    incumbent = warm_start(inst)
-    if incumbent is None:
-        raise InternalError("feasibility pre-check passed but no warm start")
-    best_value = diversity_cost(inst, incumbent)
-    cutoff = best_value - PRUNE_TOL * best_value
-    updates = [(time.perf_counter() - start, best_value)]
-
-    search = _Search(inst)
-    res, n = search.res, inst.n
-    # open nodes as (bound, committed, depth, edge, take, branch): edge
-    # (flat i * n + j, -1 at the root) is taken or forbidden on the way
-    # from the parent, branch is the node's own branch edge
-    stack = [(0.0, 0.0, 0, -1, False,
-              search.pick_branch_edge(res, res.usable()))]
-    trail: list[tuple[int, int, bool]] = []  # decisions applied to res
-    timed_out = False
-
-    while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
-        bound, committed, depth, edge, take, flat = stack.pop()
-        if bound >= cutoff:
-            search.pruned += 1
-            continue
-        if edge >= 0:
-            while len(trail) >= depth:
-                i, j, took = trail.pop()
-                if took:
-                    res.untake(i, j)
-                else:
-                    res.unforbid(i, j)
-            i, j = divmod(edge, n)
-            if take:
-                res.take(i, j)
-            else:
-                res.forbid(i, j)
-            trail.append((i, j, take))
-        search.expanded += 1
-
-        if flat == -1:
-            # all lower bounds met: the committed set is a full candidate
-            match = Matching((int(i), int(j))
-                             for i, j in zip(*np.nonzero(res.taken)))
-            value = diversity_cost(inst, match)
-            if value < cutoff:
-                best_value = value
-                cutoff = best_value - PRUNE_TOL * best_value
-                incumbent = match
-                updates.append((time.perf_counter() - start, value))
-            continue
-
-        i, j = divmod(flat, n)
-        children = []
-        for take in (True, False):
-            if take:
-                child_committed = committed + res.take(i, j)
-            else:
-                child_committed = committed
-                res.forbid(i, j)
-            usable = res.usable()
-            child_bound = (
-                child_committed + search.completion_bound(res, usable)
-                if res.counting_feasible(usable) else math.inf)
-            if child_bound < cutoff:
-                children.append((child_bound, child_committed, depth + 1,
-                                 flat, take,
-                                 search.pick_branch_edge(res, usable)))
-            else:
-                search.pruned += 1
-            if take:
-                res.untake(i, j)
-            else:
-                res.unforbid(i, j)
-        # the last one pushed pops first: the lower bound, take on a tie
-        if len(children) == 2 and children[0][0] <= children[1][0]:
-            children.reverse()
-        stack.extend(children)
-
-    lower_bound = min([cutoff] + [node[0] for node in stack])
     ok, violations = check_matching(inst, incumbent)
     if not ok:
         raise InternalError("exact solver incumbent violates bounds: "
                             + "; ".join(violations))
-    status = FEASIBLE_INCUMBENT if timed_out else OPTIMAL
     value = diversity_cost(inst, incumbent)
-    if abs(value - best_value) > 1e-9 * max(value, best_value):
+    if abs(value - tracked) > 1e-9 * max(value, tracked):
         raise InternalError(
-            f"incumbent value drifted: tracked {best_value}, actual {value}")
+            f"incumbent value drifted: tracked {tracked}, actual {value}")
+    if lower_bound is None:  # the dynamic program's answer is the optimum
+        lower_bound = value
+    telemetry["lower_bound"] = lower_bound
+    telemetry["gap"] = (value - lower_bound) / value if value else 0.0
     return SolveReport(
-        algorithm="diverse_exact", status=status, matching=incumbent,
-        total_weight=total_weight(inst, incumbent),
-        diversity_cost=value,
-        wall_time=time.perf_counter() - start,
-        telemetry={"fast_path": False, "expanded": search.expanded,
-                   "pruned": search.pruned, "incumbent_updates": updates,
-                   "lower_bound": lower_bound,
-                   "gap": (value - lower_bound) / value if value else 0.0})
+        algorithm="diverse_exact",
+        status=FEASIBLE_INCUMBENT if timed_out else OPTIMAL,
+        matching=incumbent, total_weight=total_weight(inst, incumbent),
+        diversity_cost=value, wall_time=time.perf_counter() - start,
+        telemetry=telemetry)

@@ -96,8 +96,7 @@ def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
                             f"{owes} more edge(s) but has no feasible "
                             "incident edge")
                     res.take(*edge)
-    match = Matching((i, j) for i, j in zip(*np.nonzero(res.taken)))
-    return match, state.gain_evaluations, ""
+    return res.matching(), state.gain_evaluations, ""
 
 
 def _per_right_node(inst: Instance) -> tuple[Matching, int]:

@@ -28,9 +28,16 @@ import numpy as np
 from .errors import InstanceError, MatchingError
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bools, floats and strings are not."""
+    # the type test is a shortcut for plain ints, the common case
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
+
+
 def _as_int(value, field: str) -> int:
-    """An integer field's value; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """An integer field's value; anything _is_int rejects raises."""
+    if not _is_int(value):
         raise InstanceError(f"{field} must be an integer, got {value!r}")
     return int(value)
 
@@ -199,9 +206,10 @@ class Instance:
 class Matching:
     """An immutable set of selected (left, right) edges.
 
-    Edges are kept canonically sorted by (left, right).  Duplicates and
-    negative indices are rejected; range checks against a concrete
-    instance happen in check_matching.
+    Edges are kept canonically sorted by (left, right).  Indices must be
+    integers (Python or numpy, not bools); duplicates and negative
+    indices are rejected; range checks against a concrete instance
+    happen in check_matching.
     """
 
     __slots__ = ("_edges", "_set")
@@ -210,6 +218,9 @@ class Matching:
         pairs = []
         for e in edges:
             i, j = e
+            if not (_is_int(i) and _is_int(j)):
+                raise MatchingError(
+                    f"edge indices must be integers, got ({i!r}, {j!r})")
             i, j = int(i), int(j)
             if i < 0 or j < 0:
                 raise MatchingError(f"edge ({i}, {j}) has a negative index")

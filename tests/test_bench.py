@@ -59,6 +59,11 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             gen_instance(GeneratorConfig(m=0, n=2, k=1, r_lo=0, seed=0))
 
+    def test_rejects_negative_seed(self):
+        for seed in (-1, (3, -2)):
+            with pytest.raises(ConfigError, match="seed"):
+                gen_instance(GeneratorConfig(m=2, n=2, k=1, seed=seed))
+
 
 class TestClusterSweep:
     def test_reproducible_modulo_wall_time(self):

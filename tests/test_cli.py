@@ -259,3 +259,26 @@ class TestUsageErrors:
                      str(inst_path), str(tmp_path / "o.json")])
         assert code == EXIT_USAGE
         assert "budget_ms" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("edge", [[0.7, 0], [True, 0], ["x", 0]])
+    def test_non_integer_edge_index_exits_usage(self, edge, tmp_path, capsys):
+        inst_path = write_instance(tmp_path)
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"edges": [edge, [1, 1]]}))
+        code = main(["metrics", str(inst_path), str(sol), str(sol)])
+        assert code == EXIT_USAGE
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "MatchingError"
+        assert "must be integers" in doc["message"]
+
+    def test_non_integer_size_exits_usage(self, tmp_path, capsys):
+        code = main(["run-scaling", "--sizes", "5,a",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert "--sizes" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_negative_seed_exits_usage(self, tmp_path, capsys):
+        code = main(["gen", "--m", "4", "--n", "3", "--k", "2",
+                     "--seed", "-1", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert "seed" in json.loads(capsys.readouterr().err)["message"]

@@ -23,6 +23,7 @@ from divmatch import (
     warm_start,
 )
 from divmatch import exact, objective
+from divmatch._residual import Residual
 from conftest import random_instance
 
 
@@ -179,6 +180,93 @@ class TestCertifiedBound:
         np.testing.assert_allclose(
             rep.telemetry["gap"],
             (rep.diversity_cost - bound) / rep.diversity_cost, rtol=1e-12)
+
+
+    def test_zero_budget_reports_the_root_bound(self):
+        # The root is priced before the search starts, so a budget that
+        # stops it before the first expansion still certifies a floor.
+        optimum = 2.395660095501542
+        inst = gen_instance(GeneratorConfig(m=10, n=10, k=3, l_lo=1,
+                                            l_hi=10, r_lo=3, seed=(1, 10)))
+        rep = solve_diverse_exact(inst, budget_ms=0)
+        assert rep.status == FEASIBLE_INCUMBENT
+        assert rep.telemetry["expanded"] == 0
+        assert 0.0 < rep.telemetry["lower_bound"] <= optimum
+        assert rep.telemetry["gap"] < 1.0
+
+
+def partition_bound(res, usable):
+    """The completion bound priced one owing node at a time."""
+    w, clusters, sums = res.inst.weights, res.inst.clusters, res.sums.table
+    total_r = 0.0
+    for j in np.nonzero(res.r_lo - res.deg_r > 0)[0]:
+        d = int(res.r_lo[j] - res.deg_r[j])
+        rows = np.nonzero(usable[:, j])[0]
+        col = w[rows, j]
+        gains = col * col + (2.0 * col) * sums[j, clusters[rows]]
+        total_r += float(np.partition(gains, d - 1)[:d].sum())
+    total_l = 0.0
+    for i in np.nonzero(res.l_lo - res.deg_l > 0)[0]:
+        d = int(res.l_lo[i] - res.deg_l[i])
+        cols = np.nonzero(usable[i, :])[0]
+        row = w[i, cols]
+        gains = row * row + (2.0 * row) * sums[cols, clusters[i]]
+        total_l += float(np.partition(gains, d - 1)[:d].sum())
+    return max(total_r, total_l)
+
+
+def best_completion(res):
+    """Cheapest cost of the taken edges plus any subset of the open ones
+    that meets every degree bound; inf when no subset does."""
+    inst = res.inst
+    edges = np.argwhere(~res.closed)
+    subsets = (np.arange(1 << len(edges))[:, None]
+               >> np.arange(len(edges))) & 1
+    deg_l = res.deg_l + subsets @ (edges[:, :1] == np.arange(inst.m))
+    deg_r = res.deg_r + subsets @ (edges[:, 1:] == np.arange(inst.n))
+    ok = ((deg_l >= res.l_lo) & (deg_l <= res.l_hi)).all(axis=1)
+    ok &= ((deg_r >= res.r_lo) & (deg_r <= res.r_hi)).all(axis=1)
+    if not ok.any():
+        return np.inf
+    # per-(right node, cluster) weight each open edge adds
+    cells = edges[:, 1] * inst.k + inst.clusters[edges[:, 0]]
+    added = np.zeros((len(edges), inst.n * inst.k))
+    added[np.arange(len(edges)), cells] = inst.weights[edges[:, 0],
+                                                       edges[:, 1]]
+    sums = res.sums.table.ravel() + subsets[ok] @ added
+    return float((sums * sums).sum(axis=1).min())
+
+
+class TestCompletionBound:
+    def test_admissible_and_equal_to_per_node_pricing(self):
+        # Random take/forbid walks on small two-sided instances: at each
+        # state the counting check passes, committed cost plus the bound
+        # must not exceed the best completion, found by enumeration.
+        rng = np.random.default_rng(451)
+        checked = both_sides = 0
+        for _ in range(200):
+            inst = random_instance(rng, max_m=4, max_n=4, max_cells=12,
+                                   per_node=True)
+            res = Residual(inst)
+            while True:
+                usable = res.usable()
+                if not res.counting_feasible(usable):
+                    break
+                bound = exact.completion_bound(res, usable)
+                np.testing.assert_allclose(
+                    bound, partition_bound(res, usable), rtol=1e-12, atol=0)
+                best = best_completion(res)
+                assert res.sums.cost + bound <= best + 1e-12 * max(1.0, best)
+                checked += 1
+                owing_l, owing_r = res.owing()
+                both_sides += bool(owing_l.any() and owing_r.any())
+                open_edges = np.argwhere(~res.closed)
+                if len(open_edges) == 0:
+                    break
+                i, j = (int(v) for v in
+                        open_edges[rng.integers(len(open_edges))])
+                res.decide(i, j, bool(usable[i, j] and rng.random() < 0.6))
+        assert checked >= 500 and both_sides >= 100
 
 
 class TestResync:

@@ -140,6 +140,14 @@ class TestMatching:
         with pytest.raises(MatchingError):
             Matching([(-1, 0)])
 
+    def test_index_integer_check(self):
+        match = Matching([(np.int64(1), np.int32(0))])
+        assert match.edges == ((1, 0),)
+        assert type(match.edges[0][0]) is int
+        for bad in (0.7, 1.0, True, np.bool_(False), "0"):
+            with pytest.raises(MatchingError, match="must be integers"):
+                Matching([(bad, 0)])
+
     def test_degrees(self):
         match = Matching([(0, 0), (0, 1), (2, 1)])
         deg_l, deg_r = match.degrees(3, 2)

@@ -19,7 +19,9 @@ from .objective import ClusterSums
 class Residual:
     """Masks, degrees and cluster sums of one partial selection.
 
-    Starts empty; solvers change it one edge at a time.
+    Starts empty; solvers change it one edge at a time.  It keeps no
+    availability counters: safe_partners() evaluates the counting check
+    for all of a node's candidates at once, from counts taken per call.
     """
 
     __slots__ = ("inst", "l_lo", "l_hi", "r_lo", "r_hi", "taken", "closed",
@@ -109,17 +111,44 @@ class Residual:
                 return False
         return True
 
-    def guard(self, i: int, j: int) -> bool:
-        """Would taking (i, j) keep the counting check alive?
+    def safe_partners(self, side: str, node: int) -> list[int]:
+        """Partners of node whose edge is usable and passes the counting
+        check once taken, ascending.
 
-        Leaves the cluster sums alone: they do not enter the check, and
-        every sums mutation counts toward a from-scratch resync.
+        One pass over the masks serves every candidate.  Taking (a, b)
+        closes that edge, lowers the need of a and b by one, spends one
+        unit of spare capacity on each side and, if b (a) fills up,
+        closes b's column (a's row) to every other node.  So a candidate
+        fails only if the state already fails or it drains something
+        tight: a node whose need equals its usable count, or a side whose
+        total need equals the other side's spare capacity.  Leaves the
+        state and the cluster sums alone.
         """
-        self.closed[i, j] = True
-        self.deg_l[i] += 1
-        self.deg_r[j] += 1
-        ok = self.counting_feasible()
-        self.closed[i, j] = False
-        self.deg_l[i] -= 1
-        self.deg_r[j] -= 1
-        return ok
+        sides = [(self.l_lo, self.l_hi, self.deg_l),
+                 (self.r_lo, self.r_hi, self.deg_r)]
+        open_ = ~self.closed
+        if side != "left":
+            sides.reverse()
+            open_ = open_.T
+        (lo_a, hi_a, deg_a), (lo_b, hi_b, deg_b) = sides
+        need_a, need_b = np.maximum(lo_a - deg_a, 0), np.maximum(lo_b - deg_b, 0)
+        spare_a, spare_b = hi_a - deg_a, hi_b - deg_b
+        cand = open_[node] & (spare_b > 0)
+        if spare_a[node] <= 0 or not cand.any():
+            return []
+        avail_a = (open_ & (spare_b > 0)).sum(axis=1)
+        avail_b = (open_ & (spare_a > 0)[:, None]).sum(axis=0)
+        # the state fails, or a's side owes more than b's side can take
+        if ((need_a > avail_a).any() or (need_b > avail_b).any()
+                or need_a.sum() - (need_a[node] > 0) > spare_b.sum() - 1):
+            return []
+        fail = need_b.sum() - (need_b > 0) > spare_a.sum() - 1
+        # b fills up: its column closes to the tight nodes on a's side
+        tight_a = (need_a > 0) & (need_a == avail_a)
+        tight_a[node] = False
+        fail |= (spare_b == 1) & open_[tight_a].any(axis=0)
+        # a fills up: its row closes to every b' but the one taken
+        if spare_a[node] == 1:
+            drained = (need_b > 0) & (need_b == avail_b) & open_[node]
+            fail |= drained.sum() - drained > 0
+        return np.flatnonzero(cand & ~fail).tolist()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -138,12 +139,17 @@ def _load_solved(path: str, inst) -> SimpleNamespace:
     if not ok:
         raise MatchingError(f"{path} violates the instance bounds: "
                             + "; ".join(violations))
+    wall_time = doc.get("wall_time", 0.0)
+    if (isinstance(wall_time, bool) or not isinstance(wall_time, (int, float))
+            or not math.isfinite(wall_time)):
+        raise MatchingError(f"{path} has a wall_time that is not a real "
+                            f"number: {wall_time!r}")
     return SimpleNamespace(
         matching=match,
         total_weight=total_weight(inst, match),
         diversity_cost=diversity_cost(inst, match),
         status=doc.get("status", "unknown"),
-        wall_time=float(doc.get("wall_time", 0.0)))
+        wall_time=float(wall_time))
 
 
 def _cmd_metrics(args) -> int:
@@ -288,7 +294,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InstanceError, MatchingError, ConfigError, SizeCapError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         _error_doc(type(exc).__name__, str(exc), EXIT_USAGE)
         return EXIT_USAGE
     except InternalError as exc:

@@ -10,10 +10,11 @@ one edge settles two debts where possible.
 
 Feasible means: not yet selected, both endpoints strictly under their
 upper bounds, and a counting check that the residual lower bounds can
-still be met after taking the edge.  The counting check is necessary,
-not sufficient; a node left with no feasible incident edge is a dead
-end and the solve reports infeasible naming the stuck node rather than
-backtracking.
+still be met after taking the edge.  The counting check is evaluated
+once per pick for all of the node's candidates
+(Residual.safe_partners).  It is necessary, not sufficient; a node left
+with no feasible incident edge is a dead end and the solve reports
+infeasible naming the stuck node rather than backtracking.
 
 When no left bound binds (Instance.right_only), right nodes never
 compete for left capacity, so solve_diverse_greedy picks each right
@@ -47,14 +48,11 @@ class _GreedyState:
         self.gain_evaluations = 0
 
     def candidates(self, side: str, node: int) -> list[tuple[int, int]]:
-        """Usable incident edges that pass the guard, in scan order."""
-        res = self.res
-        usable = res.usable()
+        """Usable incident edges that pass the counting check, in scan order."""
+        partners = self.res.safe_partners(side, node)
         if side == "left":
-            edges = [(node, int(j)) for j in np.nonzero(usable[node])[0]]
-        else:
-            edges = [(int(i), node) for i in np.nonzero(usable[:, node])[0]]
-        return [(i, j) for i, j in edges if res.guard(i, j)]
+            return [(node, p) for p in partners]
+        return [(p, node) for p in partners]
 
     def pick(self, side: str, node: int, round_i: int) -> tuple[int, int] | None:
         """Lowest-gain feasible edge, preferring doubly-owing edges."""

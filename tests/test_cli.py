@@ -140,6 +140,16 @@ class TestSolve:
                      str(tmp_path / "out.json")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("which", ["input", "output"])
+    def test_directory_path_exits_usage(self, which, tmp_path, capsys):
+        inst_path = write_instance(tmp_path)
+        paths = {"input": str(inst_path), "output": str(tmp_path / "out.json")}
+        paths[which] = str(tmp_path)
+        code = main(["solve", "--alg", "wbm", paths["input"], paths["output"]])
+        assert code == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == EXIT_USAGE
+
     def test_stdout_output(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path)
         code = main(["solve", "--alg", "greedy", str(inst_path), "-"])
@@ -177,6 +187,21 @@ class TestMetrics:
         # A solution paired with the wrong instance violates its bounds.
         code = main(["metrics", str(other), str(sol), str(sol)])
         assert code == EXIT_USAGE
+
+
+    @pytest.mark.parametrize("wall_time", [None, "x"])
+    def test_bad_wall_time_exits_usage(self, wall_time, tmp_path, capsys):
+        inst_path = write_instance(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert main(["solve", "--alg", "wbm", str(inst_path),
+                     str(sol)]) == EXIT_OK
+        doc = json.loads(sol.read_text())
+        doc["wall_time"] = wall_time
+        sol.write_text(json.dumps(doc))
+        code = main(["metrics", str(inst_path), str(sol), str(sol)])
+        assert code == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MatchingError"
 
 
 class TestSweepCommands:

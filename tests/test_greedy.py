@@ -1,21 +1,28 @@
 """Tests for the greedy diverse solver and its per-right-node fast path."""
 
+import hashlib
+import json
+
 import numpy as np
 
 from divmatch import (
     DegreeBounds,
     EnumerationBudget,
     FEASIBLE_INCUMBENT,
+    GeneratorConfig,
     INFEASIBLE,
     Instance,
     OBJECTIVE_DIVERSITY,
     brute_force,
     check_matching,
     diversity_cost,
+    gen_instance,
     is_feasible_bounds,
+    solve_diverse_exact,
     solve_diverse_greedy,
 )
 from divmatch import greedy
+from divmatch._residual import Residual
 from conftest import random_instance
 
 
@@ -154,3 +161,82 @@ class TestFastPath:
         inst = spread_instance()
         rep = solve_diverse_greedy(inst)
         assert rep.telemetry["gain_evaluations"] > 0
+
+
+def reference_partners(res, side, node):
+    """The per-candidate check safe_partners() replaces: take, count, restore."""
+    usable = res.usable()
+    partners = np.nonzero(usable[node] if side == "left" else usable[:, node])[0]
+    out = []
+    for p in partners.tolist():
+        i, j = (node, p) if side == "left" else (p, node)
+        res.closed[i, j] = True
+        res.deg_l[i] += 1
+        res.deg_r[j] += 1
+        if res.counting_feasible():
+            out.append(p)
+        res.closed[i, j] = False
+        res.deg_l[i] -= 1
+        res.deg_r[j] -= 1
+    return out
+
+
+class TestSafePartners:
+    def test_matches_per_candidate_check(self):
+        # Random walks of takes and forbids; at every state each node's
+        # partner list must equal the take-count-restore reference.
+        rng = np.random.default_rng(341)
+        checked = partial = 0
+        for trial in range(400):
+            inst = random_instance(rng, max_m=7, max_n=7, max_cells=49,
+                                   per_node=trial % 2 == 0)
+            if not is_feasible_bounds(inst)[0]:
+                continue
+            res = Residual(inst)
+            while True:
+                usable = res.usable()
+                takes = []
+                for side, count in (("left", inst.m), ("right", inst.n)):
+                    for node in range(count):
+                        ref = reference_partners(res, side, node)
+                        got = res.safe_partners(side, node)
+                        assert got == ref, (trial, side, node)
+                        row = usable[node] if side == "left" else usable[:, node]
+                        checked += 1
+                        partial += 0 < len(ref) < row.sum()
+                        if side == "left":
+                            takes += [(node, j, True) for j in ref]
+                # one random forbid that keeps the counting check
+                forbids = []
+                for i, j in rng.permutation(np.argwhere(usable)).tolist():
+                    res.closed[i, j] = True
+                    if res.counting_feasible():
+                        forbids = [(i, j, False)]
+                    res.closed[i, j] = False
+                    if forbids:
+                        break
+                moves = [m for m in (takes, forbids) if m]
+                if not moves:
+                    break
+                pool = moves[int(rng.integers(len(moves)))]
+                res.decide(*pool[int(rng.integers(len(pool)))])
+        assert partial >= 1000, (checked, partial)
+
+
+SCALING_200X100 = GeneratorConfig(m=200, n=100, k=5, l_lo=1, l_hi=100,
+                                  r_lo=3, r_hi=200, seed=(23, 200))
+
+
+class TestScaling200x100:
+    def test_pinned_output(self):
+        rep = solve_diverse_greedy(gen_instance(SCALING_200X100))
+        assert rep.telemetry["gain_evaluations"] == 42012
+        assert rep.diversity_cost == 0.43364405423082375
+        edges = json.dumps(sorted(map(list, rep.matching.edges)))
+        digest = hashlib.sha256(edges.encode()).hexdigest()[:16]
+        assert digest == "9b360d5898440e0d"
+
+    def test_budget_reaches_the_search(self):
+        rep = solve_diverse_exact(gen_instance(SCALING_200X100), budget_ms=1000)
+        assert rep.status == FEASIBLE_INCUMBENT
+        assert rep.telemetry["expanded"] > 0

@@ -1,6 +1,7 @@
 """Tests for the exact minimum-weight solver (cost-scaling free, flow based)."""
 
 import numpy as np
+import pytest
 
 from divmatch import (
     DegreeBounds,
@@ -14,6 +15,7 @@ from divmatch import (
     check_matching,
     gen_instance,
     is_feasible_bounds,
+    reduce_to_circulation,
     solve_min_weight,
     total_weight,
 )
@@ -82,6 +84,124 @@ class TestOracleAgreement:
                 assert rep.matching is None
                 seen_infeasible += 1
         assert seen_infeasible >= 5
+
+
+class TestWarmStart:
+    def test_right_only_takes_each_columns_lightest(self):
+        # The right warm start routes everything: each right node keeps
+        # its r_lo lightest left nodes, ties to the lowest index, and no
+        # shortest path runs after it.
+        rng = np.random.default_rng(231)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+            weights = np.floor(3 * rng.random((m, n)))
+            r_lo = rng.integers(1, m + 1, n)
+            bounds = DegreeBounds.broadcast(m, n, 0, n, r_lo, m)
+            inst = Instance(weights, np.zeros(m, dtype=int), 1, bounds)
+            rep = solve_min_weight(inst)
+            assert rep.telemetry["warm_side"] == "right"
+            assert rep.telemetry["augmentations"] == 1
+            expected = sorted(
+                (i, j) for j in range(n)
+                for i in sorted(range(m), key=lambda i: (weights[i, j], i))
+                [:r_lo[j]])
+            assert list(rep.matching.edges) == expected
+
+    def test_large_flow_shape_routed_by_left_start(self):
+        # 200x10 with L_lo = 1 and R_lo = 3: every left node's lightest
+        # edge already covers each right node three times, so the left
+        # warm start is the optimum and no shortest path runs.
+        inst = gen_instance(GeneratorConfig(m=200, n=10, k=5, l_lo=1,
+                                            l_hi=10, r_lo=3, r_hi=200,
+                                            seed=(7, 200)))
+        rep = solve_min_weight(inst)
+        assert rep.status == OPTIMAL
+        assert rep.telemetry["warm_side"] == "left"
+        assert rep.telemetry["augmentations"] == 1
+        lightest = inst.weights.argmin(axis=1)
+        assert rep.matching.edges == tuple(enumerate(lightest.tolist()))
+
+    def test_sides_that_route_alike_go_right(self):
+        # Every node's lightest edge is its diagonal one, so either start
+        # routes the whole perfect matching; the right side wins the tie.
+        weights = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]])
+        bounds = DegreeBounds.broadcast(3, 3, 1, 1, 1, 1)
+        inst = Instance(weights, np.array([0, 1, 2]), 3, bounds)
+        rep = solve_min_weight(inst)
+        assert rep.telemetry["warm_side"] == "right"
+        assert rep.telemetry["augmentations"] == 1
+        assert rep.matching.edges == ((0, 0), (1, 1), (2, 2))
+
+    def test_neither_side_fits_starts_cold(self):
+        # Each right node's lightest left node is node 0, and each left
+        # node's lightest right node is node 0: either start overloads a
+        # node with upper bound 1.
+        weights = np.array([[1.0, 2.0], [3.0, 4.0]])
+        bounds = DegreeBounds.broadcast(2, 2, 1, 1, 1, 1)
+        inst = Instance(weights, np.array([0, 1]), 2, bounds)
+        assert reduce_to_circulation(inst).need == 4
+        rep = solve_min_weight(inst)
+        assert rep.telemetry["warm_side"] is None
+        np.testing.assert_allclose(rep.total_weight, 5.0)
+
+    def test_tied_weights_match_brute_force(self):
+        rng = np.random.default_rng(232)
+        budget = EnumerationBudget(max_subsets=1 << 16, max_wall_s=60.0)
+        sides = set()
+        for trial in range(150):
+            inst = random_instance(rng, max_m=4, max_n=4, max_cells=16,
+                                   per_node=trial % 2 == 1)
+            tied = Instance(np.floor(3 * inst.weights), inst.clusters,
+                            inst.k, inst.bounds)
+            oracle = brute_force(tied, OBJECTIVE_WEIGHT, budget)
+            rep = solve_min_weight(tied)
+            assert rep.status == oracle.status
+            if rep.status != OPTIMAL:
+                continue
+            sides.add(rep.telemetry["warm_side"])
+            assert rep.total_weight == oracle.total_weight
+            ok, violations = check_matching(tied, rep.matching)
+            assert ok, violations
+        assert sides == {"left", "right", None}
+
+
+class TestLinprog:
+    def test_agrees_with_linprog(self):
+        # An independent solver on the LP relaxation: the degree-bounded
+        # polytope is totally unimodular, so its optimum is integral and
+        # equals the matching optimum.
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_matrix, vstack
+
+        rng = np.random.default_rng(233)
+        solved = 0
+        for trial in range(48):
+            inst = random_instance(rng, max_m=50, max_n=50, max_cells=2500,
+                                   per_node=True)
+            if trial % 3 == 0:
+                inst = Instance(np.floor(3 * inst.weights), inst.clusters,
+                                inst.k, inst.bounds)
+            m, n, b = inst.m, inst.n, inst.bounds
+            cells = np.arange(m * n)
+            rows = csr_matrix((np.ones(m * n), (cells // n, cells)),
+                              shape=(m, m * n))
+            cols = csr_matrix((np.ones(m * n), (cells % n, cells)),
+                              shape=(n, m * n))
+            a_ub = vstack([rows, -rows, cols, -cols])
+            b_ub = np.concatenate([b.l_hi, np.negative(b.l_lo),
+                                   b.r_hi, np.negative(b.r_lo)])
+            lp = linprog(inst.weights.ravel(), A_ub=a_ub, b_ub=b_ub,
+                         bounds=(0, 1), method="highs")
+            rep = solve_min_weight(inst)
+            assert (rep.status == OPTIMAL) == (lp.status == 0), lp.message
+            if rep.status != OPTIMAL:
+                assert lp.status == 2
+                continue
+            solved += 1
+            np.testing.assert_allclose(rep.total_weight, lp.fun,
+                                       rtol=1e-7, atol=1e-7)
+        assert solved >= 40
 
 
 class TestWeightScale:

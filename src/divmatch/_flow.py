@@ -93,12 +93,12 @@ class Graph:
         Stops once the arcs out of s are saturated or t is out of reach.
         Dijkstra runs on reduced costs under pot: every arc it relaxes
         must have a nonnegative reduced cost.  It never relaxes an arc
-        into s and stops when it settles t, so arcs out of t and into s
-        may start negative (a warm start leaves them so).  Returns
-        (flow, augmentations).  A reduced cost below -1e-9 times the
-        summed arc costs means the potentials broke, which raises
-        InternalError; the tolerance scales with the weights so rounding
-        at any weight scale passes.
+        into s and stops once no key left can beat t's distance, so arcs
+        out of t and into s may start negative (a warm start leaves them
+        so).  Returns (flow, augmentations).  A reduced cost below -1e-9
+        times the summed arc costs means the potentials broke, which
+        raises InternalError; the tolerance scales with the weights so
+        rounding at any weight scale passes.
         """
         num = len(self.adj)
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
@@ -116,7 +116,7 @@ class Graph:
                 d, u = heapq.heappop(heap)
                 if d > dist[u]:
                     continue
-                if u == t:
+                if d >= dist[t]:  # nothing left to pop can beat t
                     break
                 pu = pot[u]
                 for a in adj[u]:

@@ -6,8 +6,8 @@ Right-constrained instances (no left lower bounds, left upper bounds at
 least n) decompose: right nodes share no binding constraint, and because
 the objective is monotone in edge addition, each right node takes exactly
 its lower bound's worth of edges.  Within one right node and one cluster
-the cheapest t edges are always the best t edges, so a small dynamic
-program over per-cluster take counts finds the node's optimum exactly.
+the cheapest t edges are the best t edges, so one dynamic program over
+per-cluster take counts, run for all right nodes at once, is exact.
 
 Everything else runs depth-first branch and bound over edge decisions.
 A search node fixes some edges in and some out.  The whole search works
@@ -78,48 +78,47 @@ def warm_start(inst: Instance) -> Optional[Matching]:
 
 
 def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
-    """Per-right-node exact optimum of a right_only instance, and its cost."""
-    b = inst.bounds
-    members = [np.nonzero(inst.clusters == c)[0] for c in range(inst.k)]
+    """Per-right-node exact optimum of a right_only instance, and its cost.
 
-    edges: list[tuple[int, int]] = []
-    cost = 0.0
-    for j in range(inst.n):
-        demand = b.r_lo[j]
-        if demand == 0:
-            continue
-        col = inst.weights[:, j]
-        # cheapest-first member order per cluster, stable on index
-        order = [mem[np.argsort(col[mem], kind="stable")] for mem in members]
-        prefix = [np.concatenate(([0.0], np.cumsum(col[lefts])))
-                  for lefts in order]
-        # dp[t] = cheapest concentration cost of t edges using clusters so far
-        dp = np.full(demand + 1, math.inf)
-        dp[0] = 0.0
-        takes: list[np.ndarray] = []
-        for c in range(inst.k):
-            size = len(order[c])
-            nxt = np.full(demand + 1, math.inf)
-            choice = np.zeros(demand + 1, dtype=np.int64)
-            for t in range(demand + 1):
-                for take in range(0, min(t, size) + 1):
-                    cand = dp[t - take] + prefix[c][take] ** 2
-                    if cand < nxt[t]:
-                        nxt[t] = cand
-                        choice[t] = take
-            dp = nxt
-            takes.append(choice)
-        if math.isinf(dp[demand]):
-            raise InternalError(
-                f"right node {j} cannot meet demand {demand} with {inst.m} "
-                "left nodes")
-        cost += float(dp[demand])
-        t = demand
-        for c in range(inst.k - 1, -1, -1):
-            take = int(takes[c][t])
-            edges.extend((int(i), j) for i in order[c][:take])
-            t -= take
-    return Matching(edges), cost
+    dp[j, t] is right node j's cheapest cost of t edges from the clusters
+    so far; each cluster's step runs for every right node at once.
+    """
+    demand = np.array(inst.bounds.r_lo)
+    w, n, top = inst.weights, inst.n, int(demand.max())
+    cols, rank = np.arange(n), np.arange(top)
+    sizes = np.bincount(inst.clusters, minlength=inst.k)
+    # each column's left nodes grouped by cluster, cheapest first, stable
+    order = np.argsort(w, axis=0, kind="stable")
+    order = order[np.argsort(inst.clusters[order], axis=0, kind="stable"),
+                  cols]
+    # lefts[c, r, j] is cluster c's r-th cheapest member at column j
+    start = np.cumsum(sizes) - sizes
+    lefts = order[np.minimum(start[:, None] + rank, inst.m - 1)]
+    squares = np.cumsum(w[lefts, cols], axis=1) ** 2
+    squares[rank >= sizes[:, None]] = math.inf
+    # padded[j, top + t] = dp[j, t], infinite below t = 0, so that
+    # padded[:, shift] is the (j, take, t) array of dp[j, t - take]
+    padded = np.full((n, 2 * top + 1), math.inf)
+    padded[:, top] = 0.0
+    shift = top + np.arange(top + 1) - np.arange(top + 1)[:, None]
+    takes = []
+    for sq in squares.transpose(0, 2, 1)[..., None]:
+        cand = padded[:, shift]
+        cand[:, 1:] += sq
+        takes.append(cand.argmin(axis=1))  # ties to the fewest taken
+        padded[:, top:] = cand.min(axis=1)
+    best = padded[cols, top + demand]
+    if np.isinf(best).any():
+        j = int(np.argmax(np.isinf(best)))
+        raise InternalError(f"right node {j} cannot meet demand "
+                            f"{demand[j]} with {inst.m} left nodes")
+    edges, t = [], demand
+    for c in range(inst.k - 1, -1, -1):
+        take = takes[c][cols, t]
+        sel = rank[:, None] < take
+        edges += zip(lefts[c][sel].tolist(), np.nonzero(sel)[1].tolist())
+        t = t - take
+    return Matching(edges), sum(best.tolist())
 
 
 def _cheapest(gains: np.ndarray, need: np.ndarray) -> float:

@@ -1,5 +1,8 @@
 """Tests for the exact diverse solver: fast path, branch and bound, budgets."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from divmatch import (
     GeneratorConfig,
     INFEASIBLE,
     Instance,
+    InternalError,
+    Matching,
     OBJECTIVE_DIVERSITY,
     OPTIMAL,
     brute_force,
@@ -84,6 +89,85 @@ class TestOracleAgreement:
             assert rep.telemetry.get("fast_path") is True
             np.testing.assert_allclose(
                 rep.diversity_cost, oracle.diversity_cost, rtol=0, atol=1e-9)
+
+
+def _reference_right_dp(inst):
+    """The per-right-node loop that the vectorized dynamic program replaced."""
+    b = inst.bounds
+    members = [np.nonzero(inst.clusters == c)[0] for c in range(inst.k)]
+    edges = []
+    cost = 0.0
+    for j in range(inst.n):
+        demand = b.r_lo[j]
+        if demand == 0:
+            continue
+        col = inst.weights[:, j]
+        order = [mem[np.argsort(col[mem], kind="stable")] for mem in members]
+        prefix = [np.concatenate(([0.0], np.cumsum(col[lefts])))
+                  for lefts in order]
+        dp = np.full(demand + 1, math.inf)
+        dp[0] = 0.0
+        takes = []
+        for c in range(inst.k):
+            size = len(order[c])
+            nxt = np.full(demand + 1, math.inf)
+            choice = np.zeros(demand + 1, dtype=np.int64)
+            for t in range(demand + 1):
+                for take in range(0, min(t, size) + 1):
+                    cand = dp[t - take] + prefix[c][take] ** 2
+                    if cand < nxt[t]:
+                        nxt[t] = cand
+                        choice[t] = take
+            dp = nxt
+            takes.append(choice)
+        cost += float(dp[demand])
+        t = demand
+        for c in range(inst.k - 1, -1, -1):
+            take = int(takes[c][t])
+            edges.extend((int(i), j) for i in order[c][:take])
+            t -= take
+    return Matching(edges), cost
+
+
+class TestRightOnlyDP:
+    def test_matches_the_per_node_loop(self):
+        rng = np.random.default_rng(1013)
+        seen = {"zero demand": 0, "cluster below demand": 0, "k = 1": 0,
+                "tied weights": 0, "n = 1": 0}
+        for trial in range(320):
+            m = int(rng.integers(1, 9))
+            n = 1 if trial % 7 == 0 else int(rng.integers(2, 7))
+            k = 1 if trial % 5 == 0 else int(rng.integers(1, min(m, 4) + 1))
+            weights = rng.random((m, n))
+            if trial % 2:
+                weights = np.floor(3 * weights)
+            clusters = rng.permutation(
+                np.concatenate((np.arange(k), rng.integers(0, k, m - k))))
+            r_lo = rng.integers(0, m + 1, n)
+            bounds = DegreeBounds.broadcast(m, n, 0, n, r_lo, m)
+            inst = Instance(weights, clusters, k, bounds)
+            assert inst.right_only
+            matching, cost = exact._solve_right_constrained(inst)
+            ref_matching, ref_cost = _reference_right_dp(inst)
+            assert matching.edges == ref_matching.edges
+            assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+            seen["zero demand"] += bool(np.any(r_lo == 0))
+            sizes = np.bincount(clusters, minlength=k)
+            seen["cluster below demand"] += bool(sizes.min() < r_lo.max())
+            seen["k = 1"] += k == 1
+            seen["tied weights"] += trial % 2
+            seen["n = 1"] += n == 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_unmeetable_demand_names_the_right_node(self):
+        # Instance rejects R_lo above m, so a stand-in with the fields the
+        # dynamic program reads carries R_lo[1] = 3 against two left nodes.
+        bounds = DegreeBounds((0, 0), (2, 2), (1, 3), (2, 3))
+        inst = SimpleNamespace(weights=np.ones((2, 2)), m=2, n=2, k=2,
+                               clusters=np.array([0, 1]), bounds=bounds)
+        with pytest.raises(InternalError, match="right node 1 cannot meet "
+                                                "demand 3"):
+            exact._solve_right_constrained(inst)
 
 
 class TestSingleClusterReduction:

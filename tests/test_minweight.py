@@ -24,8 +24,9 @@ from conftest import random_instance
 
 class TestKnownAnswers:
     def test_two_by_two_perfect_matching_tie(self):
-        # Both perfect matchings cost 5; the solver must settle the tie
-        # deterministically on the lexicographically smallest edge set.
+        # Both perfect matchings cost 5.  Each side's lightest picks land
+        # on one node past its upper bound, so neither warm start is usable
+        # and the solve starts cold: the arc order fixes which one wins.
         weights = np.array([[1.0, 2.0], [3.0, 4.0]])
         bounds = DegreeBounds.broadcast(2, 2, 1, 1, 1, 1)
         inst = Instance(weights, np.array([0, 1]), 2, bounds)
@@ -166,14 +167,29 @@ class TestWarmStart:
 
 
 class TestLinprog:
-    def test_agrees_with_linprog(self):
-        # An independent solver on the LP relaxation: the degree-bounded
-        # polytope is totally unimodular, so its optimum is integral and
-        # equals the matching optimum.
+    # An independent solver on the LP relaxation: the degree-bounded
+    # polytope is totally unimodular, so its optimum is integral and
+    # equals the matching optimum.
+
+    @staticmethod
+    def solve_lp(inst):
         pytest.importorskip("scipy")
         from scipy.optimize import linprog
         from scipy.sparse import csr_matrix, vstack
 
+        m, n, b = inst.m, inst.n, inst.bounds
+        cells = np.arange(m * n)
+        rows = csr_matrix((np.ones(m * n), (cells // n, cells)),
+                          shape=(m, m * n))
+        cols = csr_matrix((np.ones(m * n), (cells % n, cells)),
+                          shape=(n, m * n))
+        a_ub = vstack([rows, -rows, cols, -cols])
+        b_ub = np.concatenate([b.l_hi, np.negative(b.l_lo),
+                               b.r_hi, np.negative(b.r_lo)])
+        return linprog(inst.weights.ravel(), A_ub=a_ub, b_ub=b_ub,
+                       bounds=(0, 1), method="highs")
+
+    def test_agrees_with_linprog(self):
         rng = np.random.default_rng(233)
         solved = 0
         for trial in range(48):
@@ -182,17 +198,7 @@ class TestLinprog:
             if trial % 3 == 0:
                 inst = Instance(np.floor(3 * inst.weights), inst.clusters,
                                 inst.k, inst.bounds)
-            m, n, b = inst.m, inst.n, inst.bounds
-            cells = np.arange(m * n)
-            rows = csr_matrix((np.ones(m * n), (cells // n, cells)),
-                              shape=(m, m * n))
-            cols = csr_matrix((np.ones(m * n), (cells % n, cells)),
-                              shape=(n, m * n))
-            a_ub = vstack([rows, -rows, cols, -cols])
-            b_ub = np.concatenate([b.l_hi, np.negative(b.l_lo),
-                                   b.r_hi, np.negative(b.r_lo)])
-            lp = linprog(inst.weights.ravel(), A_ub=a_ub, b_ub=b_ub,
-                         bounds=(0, 1), method="highs")
+            lp = self.solve_lp(inst)
             rep = solve_min_weight(inst)
             assert (rep.status == OPTIMAL) == (lp.status == 0), lp.message
             if rep.status != OPTIMAL:
@@ -202,6 +208,22 @@ class TestLinprog:
             np.testing.assert_allclose(rep.total_weight, lp.fun,
                                        rtol=1e-7, atol=1e-7)
         assert solved >= 40
+
+    def test_agrees_with_linprog_at_full_size(self):
+        # run_scaling's 200x100 shape: the right warm start leaves 38
+        # units, routed by 38 Dijkstras that each stop once nothing left
+        # to pop can beat the super sink.
+        inst = gen_instance(GeneratorConfig(m=200, n=100, k=5, l_lo=1,
+                                            l_hi=100, r_lo=3, r_hi=200,
+                                            seed=(7, 200)))
+        lp = self.solve_lp(inst)
+        assert lp.status == 0, lp.message
+        rep = solve_min_weight(inst)
+        assert rep.status == OPTIMAL
+        assert rep.telemetry["warm_side"] == "right"
+        assert rep.telemetry["augmentations"] == 38 + 1
+        np.testing.assert_allclose(rep.total_weight, lp.fun, rtol=1e-9,
+                                   atol=0)
 
 
 class TestWeightScale:

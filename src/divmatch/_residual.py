@@ -1,11 +1,15 @@
 """Residual state of a partial selection, shared by the diverse solvers.
 
 Greedy and branch and bound both ask of a partial edge set which nodes
-still owe edges, which edges can still be added, whether the residual
-lower bounds can still be met and what the next edge would cost.  An
-edge is taken, forbidden (by a branching decision) or open; closed
-marks taken or forbidden edges, so for greedy, which never forbids,
-closed equals taken.
+still owe edges, which edges can still be added and what the next edge
+would cost.  An edge is taken, forbidden (by a branching decision) or
+open; closed marks taken or forbidden edges, so for greedy, which never
+forbids, closed equals taken.
+
+Both also ask whether the residual lower bounds can still be met; one
+counting check answers that.  Greedy takes from safe_partners the edges
+that keep it, and branch and bound's completion bound
+(exact.completion_bound) is infinite exactly where it fails.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ class Residual:
     """Masks, degrees and cluster sums of one partial selection.
 
     Starts empty; solvers change it one edge at a time.  It keeps no
-    availability counters: safe_partners() evaluates the counting check
-    for all of a node's candidates at once, from counts taken per call.
+    availability counters: the counting check is evaluated from counts
+    taken per call, for all of a node's candidates at once.
     """
 
     __slots__ = ("inst", "l_lo", "l_hi", "r_lo", "r_hi", "taken", "closed",
@@ -84,36 +88,15 @@ class Residual:
         out &= (self.deg_r < self.r_hi)[None, :]
         return out
 
-    def counting_feasible(self, usable: np.ndarray | None = None) -> bool:
-        """Necessary conditions for completing all lower bounds.
-
-        Each side's total need must fit in the other side's spare
-        capacity, and each owing node must have at least as many open
-        edges to nodes with spare capacity as it owes.  usable, when
-        given, is this state's usable(); on owing nodes, which are under
-        their upper bounds, it counts the same edges.
-        """
-        need_l = np.maximum(self.l_lo - self.deg_l, 0)
-        need_r = np.maximum(self.r_lo - self.deg_r, 0)
-        if need_l.sum() > (self.r_hi - self.deg_r).sum():
-            return False
-        if need_r.sum() > (self.l_hi - self.deg_l).sum():
-            return False
-        if need_l.any():
-            avail = usable if usable is not None else (
-                ~self.closed & (self.deg_r < self.r_hi)[None, :])
-            if (need_l > avail.sum(axis=1)).any():
-                return False
-        if need_r.any():
-            avail = usable if usable is not None else (
-                ~self.closed & (self.deg_l < self.l_hi)[:, None])
-            if (need_r > avail.sum(axis=0)).any():
-                return False
-        return True
-
     def safe_partners(self, side: str, node: int) -> list[int]:
         """Partners of node whose edge is usable and passes the counting
         check once taken, ascending.
+
+        The counting check holds the necessary conditions for completing
+        all lower bounds.  Each side's total need must fit in the other
+        side's spare capacity, and each owing node must have at least as
+        many usable edges (open, to nodes with spare capacity) as it
+        owes.
 
         One pass over the masks serves every candidate.  Taking (a, b)
         closes that edge, lowers the need of a and b by one, spends one

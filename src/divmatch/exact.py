@@ -26,14 +26,18 @@ committed cluster sums, infinite where the edge is not usable.  An
 owing node that must still add d edges pays at least the d cheapest
 entries of its row (left node) or column (right node); each side's
 total is a floor, and the larger one wins (the two are not added: one
-edge can pay a debt on both sides).  As the objective is monotone, a
-node whose lower bounds are all met is a complete candidate; its
-committed edge set is offered as the incumbent and the subtree closes.
+edge can pay a debt on both sides).  The bound is infinite where the
+counting check fails (a side owes more than the other side can still
+take, or an owing node has fewer usable edges than it owes), so the
+cutoff prunes such a node like any other.  As the objective is
+monotone, a node whose lower bounds are all met is a complete
+candidate; its committed edge set is offered as the incumbent and the
+subtree closes.
 
 One pricing step handles every node, the root included: usable mask,
-counting check, bound, cutoff, then, for a kept node, its branch edge
-(the heaviest usable edge at an owing node).  The root thus enters the
-stack with its real bound.
+bound (which carries the counting check), cutoff, then, for a kept
+node, its branch edge (the heaviest usable edge at an owing node).  The
+root thus enters the stack with its real bound.
 
 The search is anytime: a greedy warm start seeds the incumbent and a
 millisecond budget stops the search early with the best incumbent.
@@ -133,21 +137,25 @@ def _cheapest(gains: np.ndarray, need: np.ndarray) -> float:
 def completion_bound(res: Residual, usable: np.ndarray) -> float:
     """Optimistic extra cost to satisfy all residual lower bounds.
 
-    Called only on states that pass res.counting_feasible(usable), so
-    every owing node has at least as many usable edges as it owes.
+    Infinite exactly when the counting check fails.  An owing node with
+    fewer usable edges than it owes makes its _cheapest sum infinite,
+    so only the side totals need a test of their own.
     """
+    need_l, need_r = res.l_lo - res.deg_l, res.r_lo - res.deg_r
+    if (np.maximum(need_l, 0).sum() > (res.r_hi - res.deg_r).sum()
+            or np.maximum(need_r, 0).sum() > (res.l_hi - res.deg_l).sum()):
+        return math.inf
     w = res.inst.weights
     gains = w * w + (2.0 * w) * res.sums.table[:, res.inst.clusters].T
     gains[~usable] = math.inf
-    return max(_cheapest(gains.T, res.r_lo - res.deg_r),
-               _cheapest(gains, res.l_lo - res.deg_l))
+    return max(_cheapest(gains.T, need_r), _cheapest(gains, need_l))
 
 
 def _branch_edge(res: Residual, usable: np.ndarray) -> int:
     """Flat index i * n + j of the heaviest usable edge at an owing node.
 
-    -1 when no node owes.  A state that passes the counting check always
-    has a usable edge at an owing node.
+    -1 when no node owes.  A state with a finite bound always has a
+    usable edge at an owing node.
     """
     owing_l, owing_r = res.owing()
     if not owing_r.any() and not owing_l.any():
@@ -156,8 +164,8 @@ def _branch_edge(res: Residual, usable: np.ndarray) -> int:
     if not pool.any():
         pool = usable & owing_l[:, None]
     if not pool.any():
-        raise InternalError("owing node with no usable edge passed the "
-                            "counting check")
+        raise InternalError("owing node with no usable edge has a "
+                            "finite bound")
     # ties: argmax takes the first, (i, j) lex
     return int(np.argmax(np.where(pool, res.inst.weights, -math.inf)))
 
@@ -166,8 +174,6 @@ def _price(res: Residual, committed: float,
            cutoff: float) -> Optional[tuple[float, int]]:
     """(bound, branch edge) of res's state, or None if it is pruned."""
     usable = res.usable()
-    if not res.counting_feasible(usable):
-        return None
     bound = committed + completion_bound(res, usable)
     if bound >= cutoff:
         return None

@@ -40,44 +40,35 @@ from .objective import diversity_cost, total_weight
 from .report import FEASIBLE_INCUMBENT, INFEASIBLE, SolveReport
 
 
-class _GreedyState:
-    """Candidate scan and pick rule of one round-based greedy run."""
+def _pick(res: Residual, side: str, node: int,
+          round_i: int) -> tuple[Optional[tuple[int, int]], int]:
+    """(lowest-gain safe edge at node or None, candidates priced).
 
-    def __init__(self, inst: Instance):
-        self.res = Residual(inst)
-        self.gain_evaluations = 0
-
-    def candidates(self, side: str, node: int) -> list[tuple[int, int]]:
-        """Usable incident edges that pass the counting check, in scan order."""
-        partners = self.res.safe_partners(side, node)
-        if side == "left":
-            return [(node, p) for p in partners]
-        return [(p, node) for p in partners]
-
-    def pick(self, side: str, node: int, round_i: int) -> tuple[int, int] | None:
-        """Lowest-gain feasible edge, preferring doubly-owing edges."""
-        cands = self.candidates(side, node)
-        if not cands:
-            return None
-        res = self.res
-        best, best_gain, best_pref = None, math.inf, False
-        for i, j in cands:
-            if side == "left":
-                opp_owing = res.deg_r[j] < min(round_i, res.r_lo[j])
-            else:
-                opp_owing = res.deg_l[i] < min(round_i, res.l_lo[i])
-            gain = res.sums.gain(i, j)
-            self.gain_evaluations += 1
-            # preference first, then gain, then (left, right) via scan order
-            if (opp_owing, -gain) > (best_pref, -best_gain):
-                best, best_gain, best_pref = (i, j), gain, opp_owing
-        return best
+    Edges whose other endpoint still owes in this round come first; ties
+    go to the first candidate in scan order.
+    """
+    partners = np.array(res.safe_partners(side, node), dtype=np.intp)
+    if partners.size == 0:
+        return None, 0
+    inst = res.inst
+    if side == "left":
+        rows, cols = node, partners
+        opp_owing = res.deg_r[cols] < np.minimum(round_i, res.r_lo[cols])
+    else:
+        rows, cols = partners, node
+        opp_owing = res.deg_l[rows] < np.minimum(round_i, res.l_lo[rows])
+    w = inst.weights[rows, cols]
+    gains = w * w + 2.0 * w * res.sums.table[cols, inst.clusters[rows]]
+    if opp_owing.any():
+        gains[~opp_owing] = math.inf
+    p = int(partners[np.argmin(gains)])
+    return ((node, p) if side == "left" else (p, node)), partners.size
 
 
 def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
     """Round-based greedy: (matching or None, gain evaluations, dead end)."""
-    state = _GreedyState(inst)
-    res = state.res
+    res = Residual(inst)
+    gain_evaluations = 0
     b = inst.bounds
     max_lo = max((0,) + b.l_lo + b.r_lo)
     for round_i in range(1, max_lo + 1):
@@ -86,15 +77,16 @@ def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
                 lo = b.l_lo[node] if side == "left" else b.r_lo[node]
                 deg = res.deg_l if side == "left" else res.deg_r
                 while deg[node] < min(round_i, lo):
-                    edge = state.pick(side, node, round_i)
+                    edge, priced = _pick(res, side, node, round_i)
+                    gain_evaluations += priced
                     if edge is None:
                         owes = min(round_i, lo) - int(deg[node])
-                        return None, state.gain_evaluations, (
+                        return None, gain_evaluations, (
                             f"greedy dead end: {side} node {node} owes "
                             f"{owes} more edge(s) but has no feasible "
                             "incident edge")
                     res.take(*edge)
-    return res.matching(), state.gain_evaluations, ""
+    return res.matching(), gain_evaluations, ""
 
 
 def _per_right_node(inst: Instance) -> tuple[Matching, int]:

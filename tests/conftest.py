@@ -40,3 +40,22 @@ def random_instance(rng, max_m=5, max_n=5, max_k=3, max_cells=20,
     r_lo = int(rng.integers(0, r_hi + 1))
     bounds = DegreeBounds.broadcast(m, n, l_lo, l_hi, r_lo, r_hi)
     return Instance(weights, clusters, k, bounds)
+
+
+def counting_feasible(res, usable):
+    """Reference counting check: necessary conditions for completing all
+    of res's lower bounds.
+
+    Each side's total need must fit in the other side's spare capacity,
+    and each owing node must have at least as many usable edges as it
+    owes.  usable is res.usable(); on owing nodes, which are under their
+    upper bounds, it counts the open edges to nodes with spare capacity.
+    """
+    need_l = np.maximum(res.l_lo - res.deg_l, 0)
+    need_r = np.maximum(res.r_lo - res.deg_r, 0)
+    if need_l.sum() > (res.r_hi - res.deg_r).sum():
+        return False
+    if need_r.sum() > (res.l_hi - res.deg_l).sum():
+        return False
+    return not ((need_l > usable.sum(axis=1)).any()
+                or (need_r > usable.sum(axis=0)).any())

@@ -29,7 +29,7 @@ from divmatch import (
 )
 from divmatch import exact, objective
 from divmatch._residual import Residual
-from conftest import random_instance
+from conftest import counting_feasible, random_instance
 
 
 class TestKnownAnswers:
@@ -323,20 +323,31 @@ def best_completion(res):
 
 class TestCompletionBound:
     def test_admissible_and_equal_to_per_node_pricing(self):
-        # Random take/forbid walks on small two-sided instances: at each
-        # state the counting check passes, committed cost plus the bound
-        # must not exceed the best completion, found by enumeration.
+        # Random take/forbid walks on small two-sided instances, each
+        # until the counting check fails or no edge is open.  At each
+        # state the bound is infinite exactly where the reference check
+        # fails; elsewhere it equals per-node pricing, and committed
+        # cost plus the bound must not exceed the best completion, found
+        # by enumeration.
         rng = np.random.default_rng(451)
-        checked = both_sides = 0
+        checked = both_sides = totals_only = 0
         for _ in range(200):
             inst = random_instance(rng, max_m=4, max_n=4, max_cells=12,
                                    per_node=True)
             res = Residual(inst)
             while True:
                 usable = res.usable()
-                if not res.counting_feasible(usable):
-                    break
                 bound = exact.completion_bound(res, usable)
+                feasible = counting_feasible(res, usable)
+                assert math.isinf(bound) == (not feasible)
+                if not feasible:
+                    assert best_completion(res) == np.inf
+                    # only the side totals fail: each owing node still
+                    # has as many usable edges as it owes
+                    totals_only += bool(
+                        (res.l_lo - res.deg_l <= usable.sum(axis=1)).all()
+                        and (res.r_lo - res.deg_r <= usable.sum(axis=0)).all())
+                    break
                 np.testing.assert_allclose(
                     bound, partition_bound(res, usable), rtol=1e-12, atol=0)
                 best = best_completion(res)
@@ -350,7 +361,7 @@ class TestCompletionBound:
                 i, j = (int(v) for v in
                         open_edges[rng.integers(len(open_edges))])
                 res.decide(i, j, bool(usable[i, j] and rng.random() < 0.6))
-        assert checked >= 500 and both_sides >= 100
+        assert checked >= 500 and both_sides >= 100 and totals_only >= 10
 
 
 class TestResync:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from divmatch import (
 )
 from divmatch import greedy
 from divmatch._residual import Residual
-from conftest import random_instance
+from conftest import counting_feasible, random_instance
 
 
 def spread_instance():
@@ -173,7 +174,7 @@ def reference_partners(res, side, node):
         res.closed[i, j] = True
         res.deg_l[i] += 1
         res.deg_r[j] += 1
-        if res.counting_feasible():
+        if counting_feasible(res, res.usable()):
             out.append(p)
         res.closed[i, j] = False
         res.deg_l[i] -= 1
@@ -210,7 +211,7 @@ class TestSafePartners:
                 forbids = []
                 for i, j in rng.permutation(np.argwhere(usable)).tolist():
                     res.closed[i, j] = True
-                    if res.counting_feasible():
+                    if counting_feasible(res, res.usable()):
                         forbids = [(i, j, False)]
                     res.closed[i, j] = False
                     if forbids:
@@ -221,6 +222,53 @@ class TestSafePartners:
                 pool = moves[int(rng.integers(len(moves)))]
                 res.decide(*pool[int(rng.integers(len(pool)))])
         assert partial >= 1000, (checked, partial)
+
+
+def reference_pick(res, side, node, round_i):
+    """The per-candidate loop _pick replaced: one gain at a time, ranked
+    by (preference, -gain) with a strict comparison."""
+    partners = res.safe_partners(side, node)
+    if side == "left":
+        cands = [(node, p) for p in partners]
+    else:
+        cands = [(p, node) for p in partners]
+    if not cands:
+        return None, 0
+    best, best_gain, best_pref = None, math.inf, False
+    for i, j in cands:
+        if side == "left":
+            opp_owing = res.deg_r[j] < min(round_i, res.r_lo[j])
+        else:
+            opp_owing = res.deg_l[i] < min(round_i, res.l_lo[i])
+        gain = res.sums.gain(i, j)
+        # preference first, then gain, then (left, right) via scan order
+        if (opp_owing, -gain) > (best_pref, -best_gain):
+            best, best_gain, best_pref = (i, j), gain, opp_owing
+    return best, len(cands)
+
+
+class TestPick:
+    def test_matches_per_candidate_loop_on_tied_weights(self, monkeypatch):
+        # Weights in {0, 1, 2} tie often, so the pick's tie rule (first
+        # candidate in scan order) and the doubly-owing preference both
+        # decide edges here.
+        rng = np.random.default_rng(351)
+        dead_ends = 0
+        for trial in range(240):
+            inst = random_instance(rng, max_m=7, max_n=7, max_cells=49,
+                                   per_node=trial % 2 == 0)
+            inst = Instance(np.floor(3 * inst.weights), inst.clusters,
+                            inst.k, inst.bounds)
+            got = greedy._round_based(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(greedy, "_pick", reference_pick)
+                ref = greedy._round_based(inst)
+            assert (got[0] is None) == (ref[0] is None), trial
+            if got[0] is not None:
+                assert got[0].edges == ref[0].edges, trial
+            assert got[1:] == ref[1:], trial
+            dead_ends += got[0] is None
+        assert 10 <= dead_ends <= 230
 
 
 SCALING_200X100 = GeneratorConfig(m=200, n=100, k=5, l_lo=1, l_hi=100,

@@ -28,26 +28,24 @@ from .objective import (BlockMatrix, ClusterSums, diversity_cost,
                         quadratic_form_cost, total_weight)
 from .oracle import (EnumerationBudget, OBJECTIVE_DIVERSITY,
                      OBJECTIVE_WEIGHT, brute_force, enumerate_pod)
-from .report import (BUDGET_EXHAUSTED, FEASIBLE_INCUMBENT, INFEASIBLE,
-                     OPTIMAL, SolveReport)
+from .report import FEASIBLE_INCUMBENT, INFEASIBLE, OPTIMAL, SolveReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUDGET_EXHAUSTED", "BlockMatrix", "ClusterSums", "ConfigError",
-    "DegreeBounds", "DivMatchError", "EnumerationBudget",
-    "FEASIBLE_INCUMBENT", "FlowNetwork", "GeneratorConfig", "INFEASIBLE",
-    "Instance", "InstanceError", "InternalError", "Matching",
-    "MatchingError", "MetricsReport", "OBJECTIVE_DIVERSITY",
-    "OBJECTIVE_WEIGHT", "OPTIMAL", "SizeCapError", "SolveReport",
-    "TrialBatch", "TrialRow", "brute_force", "check_matching",
-    "compute_metrics", "diversity_cost", "entropy_gain", "entropy_profile",
-    "enumerate_pod", "gen_instance", "is_feasible_bounds",
-    "load_instance", "load_matching", "node_bound_term", "node_entropy",
-    "pod_lower_bound", "price_of_diversity", "quadratic_form_cost",
-    "reduce_to_circulation", "run_bounds_sweep",
-    "run_cluster_sweep", "run_scaling", "save_instance", "save_matching",
-    "scaling_csv", "solve_circulation", "solve_diverse_exact",
-    "solve_diverse_greedy", "solve_min_weight", "total_weight",
-    "transform_max_to_min", "warm_start",
+    "BlockMatrix", "ClusterSums", "ConfigError", "DegreeBounds",
+    "DivMatchError", "EnumerationBudget", "FEASIBLE_INCUMBENT",
+    "FlowNetwork", "GeneratorConfig", "INFEASIBLE", "Instance",
+    "InstanceError", "InternalError", "Matching", "MatchingError",
+    "MetricsReport", "OBJECTIVE_DIVERSITY", "OBJECTIVE_WEIGHT", "OPTIMAL",
+    "SizeCapError", "SolveReport", "TrialBatch", "TrialRow", "brute_force",
+    "check_matching", "compute_metrics", "diversity_cost", "entropy_gain",
+    "entropy_profile", "enumerate_pod", "gen_instance",
+    "is_feasible_bounds", "load_instance", "load_matching",
+    "node_bound_term", "node_entropy", "pod_lower_bound",
+    "price_of_diversity", "quadratic_form_cost", "reduce_to_circulation",
+    "run_bounds_sweep", "run_cluster_sweep", "run_scaling",
+    "save_instance", "save_matching", "scaling_csv", "solve_circulation",
+    "solve_diverse_exact", "solve_diverse_greedy", "solve_min_weight",
+    "total_weight", "transform_max_to_min", "warm_start",
 ]

@@ -84,22 +84,6 @@ def _csv_table(header: str, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _placeholder_row(instance_id: str, inst: Instance, base_rep,
-                     div_rep) -> MetricsReport:
-    """Row for a trial where a solver found no matching."""
-    return MetricsReport(
-        instance_id=instance_id, m=inst.m, n=inst.n, k=inst.k,
-        r_lo=inst.bounds.r_lo,
-        weight_baseline=base_rep.total_weight,
-        weight_diverse=div_rep.total_weight,
-        pod=None, pod_bound=None, eg=None,
-        entropy_baseline=(), entropy_diverse=(),
-        avg_entropy_baseline=None, avg_entropy_diverse=None,
-        status_baseline=base_rep.status, status_diverse=div_rep.status,
-        wall_s_baseline=base_rep.wall_time, wall_s_diverse=div_rep.wall_time,
-        diagnostic=(base_rep.diagnostic or div_rep.diagnostic))
-
-
 @dataclass(frozen=True)
 class TrialRow:
     """One battery trial: metrics plus the raw solver objectives."""
@@ -120,8 +104,6 @@ class TrialBatch:
     cells are the only CSV content not determined by (seed, config).
     """
 
-    description: str
-    master_seed: int
     rows: list[TrialRow] = field(default_factory=list)
 
     TRIALS_HEADER = "trial,k,seed," + MetricsReport.CSV_HEADER
@@ -169,35 +151,25 @@ class TrialBatch:
 
 def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
                       trials: int = 100, m: int = 10, n: int = 10,
-                      r_lo: int = 5, l_lo: int = 0,
-                      l_hi: Optional[int] = None, seed: int = 7,
+                      r_lo: int = 5, seed: int = 7,
                       budget_ms: float = SCALING_BUDGET_MS) -> TrialBatch:
     """Sweep the cluster count, many random trials per value.
 
-    Per trial: generate an instance, solve the weight baseline, the
-    exact diverse objective (budgeted), and the greedy heuristic, then
-    record metrics.  Infeasible solves produce placeholder rows rather
-    than aborting the batch.  l_hi defaults to n (left side open).
+    Per trial: generate an instance with the left side open (L_lo = 0,
+    L_hi = n), solve the weight baseline, the exact diverse objective
+    (budgeted), and the greedy heuristic, then record metrics.  Every
+    trial is feasible, as DegreeBounds enforces r_lo <= m.
     """
-    if l_hi is None:
-        l_hi = n
-    batch = TrialBatch(
-        description=(f"cluster sweep m={m} n={n} r_lo={r_lo} l_lo={l_lo} "
-                     f"l_hi={l_hi} trials={trials}"),
-        master_seed=seed)
+    batch = TrialBatch()
     for k in k_values:
         for trial in range(trials):
-            cfg = GeneratorConfig(m=m, n=n, k=k, l_lo=l_lo, l_hi=l_hi,
+            cfg = GeneratorConfig(m=m, n=n, k=k, l_lo=0, l_hi=n,
                                   r_lo=r_lo, seed=(seed, k, trial))
             inst = gen_instance(cfg)
             base = solve_min_weight(inst)
             div = solve_diverse_exact(inst, budget_ms=budget_ms)
             grd = solve_diverse_greedy(inst)
-            instance_id = f"k{k}_t{trial}"
-            if base.matching is None or div.matching is None:
-                rep = _placeholder_row(instance_id, inst, base, div)
-            else:
-                rep = compute_metrics(inst, base, div, instance_id)
+            rep = compute_metrics(inst, base, div, f"k{k}_t{trial}")
             batch.rows.append(TrialRow(trial, k, str(seed), rep,
                                        exact_cost=div.diversity_cost,
                                        greedy_cost=grd.diversity_cost))
@@ -205,31 +177,24 @@ def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
 
 
 def run_bounds_sweep(m: int = 8, n: int = 4, k: int = 3, seed: int = 11,
-                     r_lo_values: Optional[Sequence[int]] = None,
                      budget_ms: float = SCALING_BUDGET_MS) -> TrialBatch:
-    """Sweep the right-side lower bound on one fixed weight matrix.
+    """Sweep the right-side lower bound r_lo = 1..m on one weight matrix.
 
-    The weight matrix and clusters are drawn once; only the bounds move.
-    At r_lo = m every right node must take every left node, the matching
-    is unique, and the price of diversity is exactly 1.
+    The weight matrix and clusters are drawn once; only the bounds move,
+    and with the left side open every r_lo is feasible.  At r_lo = m
+    every right node must take every left node, the matching is unique,
+    and the price of diversity is exactly 1.
     """
-    if r_lo_values is None:
-        r_lo_values = tuple(range(1, m + 1))
     base_cfg = GeneratorConfig(m=m, n=n, k=k, l_lo=0, l_hi=n, r_lo=1,
                                seed=(seed,))
     proto = gen_instance(base_cfg)
-    batch = TrialBatch(
-        description=f"bounds sweep m={m} n={n} k={k}", master_seed=seed)
-    for r_lo in r_lo_values:
+    batch = TrialBatch()
+    for r_lo in range(1, m + 1):
         bounds = DegreeBounds.broadcast(m, n, 0, n, r_lo, m)
         inst = Instance(proto.weights, proto.clusters, k, bounds)
         base = solve_min_weight(inst)
         div = solve_diverse_exact(inst, budget_ms=budget_ms)
-        instance_id = f"rlo{r_lo}"
-        if base.matching is None or div.matching is None:
-            rep = _placeholder_row(instance_id, inst, base, div)
-        else:
-            rep = compute_metrics(inst, base, div, instance_id)
+        rep = compute_metrics(inst, base, div, f"rlo{r_lo}")
         batch.rows.append(TrialRow(0, r_lo, str(seed), rep,
                                    exact_cost=div.diversity_cost))
     return batch

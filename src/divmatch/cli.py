@@ -1,11 +1,11 @@
 """Command-line harness.
 
 Commands: gen, solve, metrics, run-fig2, run-bounds, run-scaling,
-convert-max-min.  Exit codes: 0 success, 2 usage or bad input, 3
-infeasible instance, 4 budget exhausted with no solution to return, 5
-internal error (including a failed --verify cross-check).  Every failure
-also writes a one-line JSON error document to stderr so scripts can
-parse outcomes without scraping messages.
+convert-max-min.  Exit codes: 0 success, 2 usage or bad input, 3 no
+matching returned (the bounds are infeasible, or greedy dead-ended; the
+message says which), 5 internal error (including a failed --verify
+cross-check).  Every failure also writes a one-line JSON error document
+to stderr so scripts can parse outcomes without scraping messages.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .metrics import MetricsReport, compute_metrics
 from .minweight import solve_min_weight
 from .objective import diversity_cost, total_weight
 from .oracle import OBJECTIVE_DIVERSITY, OBJECTIVE_WEIGHT, brute_force
-from .report import BUDGET_EXHAUSTED, INFEASIBLE, OPTIMAL
+from .report import INFEASIBLE, OPTIMAL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-EXIT_NO_INCUMBENT = 4
 EXIT_INTERNAL = 5
 
 
@@ -122,10 +121,6 @@ def _cmd_solve(args) -> int:
     if rep.status == INFEASIBLE:
         _error_doc("infeasible", rep.diagnostic, EXIT_INFEASIBLE)
         return EXIT_INFEASIBLE
-    if rep.status == BUDGET_EXHAUSTED:
-        _error_doc("budget_exhausted", "no incumbent found within budget",
-                   EXIT_NO_INCUMBENT)
-        return EXIT_NO_INCUMBENT
     return EXIT_OK
 
 
@@ -165,7 +160,7 @@ def _cmd_run_fig2(args) -> int:
     batch = run_cluster_sweep(
         k_values=tuple(range(args.k_min, args.k_max + 1)),
         trials=args.trials, m=args.m, n=args.n, r_lo=args.r_lo,
-        l_lo=0, l_hi=args.n, seed=args.seed, budget_ms=args.budget_ms)
+        seed=args.seed, budget_ms=args.budget_ms)
     prefix = args.out or "fig2"
     Path(f"{prefix}_trials.csv").write_text(batch.to_trials_csv())
     Path(f"{prefix}_summary.csv").write_text(batch.to_summary_csv())

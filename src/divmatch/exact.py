@@ -257,8 +257,9 @@ def solve_diverse_exact(inst: Instance,
     (telemetry fast_path True); all others branch and bound.  Completes
     with status optimal, or returns the best incumbent as
     feasible_incumbent when budget_ms elapses first.  The budget is
-    honored at branching granularity; a negative or NaN budget raises
-    ConfigError.  Telemetry lower_bound is a certified floor on the
+    checked between search nodes only, so the warm start always runs and
+    a feasible instance always gets a matching; a negative or NaN budget
+    raises ConfigError.  Telemetry lower_bound is a certified floor on the
     optimum and gap the returned cost's relative distance above it.
     """
     if budget_ms is not None and not budget_ms >= 0:

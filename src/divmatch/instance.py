@@ -44,7 +44,9 @@ def _as_int(value, field: str) -> int:
 
 def _as_bound_tuple(value, length: int, side: str, limit: int) -> tuple[int, ...]:
     """Broadcast a scalar or validate a per-node sequence of bounds."""
-    if isinstance(value, (list, tuple, np.ndarray)):
+    # a 0-d array is no sequence; the scalar branch rejects it
+    if (isinstance(value, (list, tuple))
+            or isinstance(value, np.ndarray) and value.ndim > 0):
         seq = [_as_int(v, f"{side}[{idx}]") for idx, v in enumerate(value)]
         if len(seq) != length:
             raise InstanceError(
@@ -102,7 +104,10 @@ class Instance:
     __slots__ = ("_weights", "_clusters", "_k", "_bounds")
 
     def __init__(self, weights, clusters: Sequence[int], k: int, bounds: DegreeBounds):
-        w = np.array(weights, dtype=np.float64)
+        try:
+            w = np.array(weights, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"weights must be real numbers: {exc}") from None
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise InstanceError(f"weights must be a 2-D m x n table, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -212,12 +217,15 @@ class Matching:
     happen in check_matching.
     """
 
-    __slots__ = ("_edges", "_set")
+    __slots__ = ("_edges",)
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
         pairs = []
         for e in edges:
-            i, j = e
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise MatchingError(f"edge {e!r} is not an (i, j) pair") from None
             if not (_is_int(i) and _is_int(j)):
                 raise MatchingError(
                     f"edge indices must be integers, got ({i!r}, {j!r})")
@@ -230,7 +238,6 @@ class Matching:
             if a == b:
                 raise MatchingError(f"duplicate edge {a}")
         object.__setattr__(self, "_edges", tuple(pairs))
-        object.__setattr__(self, "_set", frozenset(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matching is immutable")
@@ -240,7 +247,7 @@ class Matching:
         return self._edges
 
     def __contains__(self, edge) -> bool:
-        return tuple(edge) in self._set
+        return tuple(edge) in self._edges
 
     def __iter__(self):
         return iter(self._edges)

@@ -6,8 +6,8 @@ diverse rule gains in cluster spread (entropy gain) and what it costs in
 weight (price of diversity), plus an a-priori worst-case floor on that
 price computed from the baseline matching alone.
 
-All entropies use the natural logarithm and are reported in nats; every
-ratio of entropies is base-invariant anyway.
+All entropies use the natural logarithm and are reported in nats; the
+entropy gain is a ratio, so the base would cancel in it anyway.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 from .instance import Instance, Matching
 
 
-def node_entropy(inst: Instance, match: Matching, right_node: int,
-                 base: float = math.e) -> Optional[float]:
-    """Shannon entropy of the cluster mix of one right node's edges.
+def node_entropy(inst: Instance, match: Matching,
+                 right_node: int) -> Optional[float]:
+    """Shannon entropy (nats) of the cluster mix of one right node's edges.
 
     p_c is the proportion of the node's selected edges whose left
     endpoint lies in cluster c; terms with p_c = 0 contribute nothing.
@@ -33,19 +33,17 @@ def node_entropy(inst: Instance, match: Matching, right_node: int,
     deg = sum(counts.values())
     if deg == 0:
         return None
-    log = math.log if base == math.e else (lambda x: math.log(x, base))
-    return -math.fsum((c / deg) * log(c / deg) for c in counts.values())
+    return -math.fsum((c / deg) * math.log(c / deg) for c in counts.values())
 
 
-def entropy_profile(inst: Instance, match: Matching,
-                    base: float = math.e) -> list[Optional[float]]:
+def entropy_profile(inst: Instance, match: Matching) -> list[Optional[float]]:
     """node_entropy for every right node, None where undefined."""
-    return [node_entropy(inst, match, j, base=base) for j in range(inst.n)]
+    return [node_entropy(inst, match, j) for j in range(inst.n)]
 
 
-def entropy_gain(inst: Instance, baseline: Matching, diverse: Matching,
-                 base: float = math.e) -> tuple[Optional[float], str]:
-    """Ratio of average node entropies: diverse over baseline.
+def entropy_gain(inst: Instance, baseline: Matching,
+                 diverse: Matching) -> tuple[Optional[float], str]:
+    """Ratio of average node entropies (nats): diverse over baseline.
 
     A right node with no edges in either matching is excluded from both
     averages, so the two sides always average over the same node set.
@@ -53,8 +51,8 @@ def entropy_gain(inst: Instance, baseline: Matching, diverse: Matching,
     is zero (every baseline neighborhood single-cluster) or when no node
     is defined on both sides, with the diagnostic saying which.
     """
-    eb = entropy_profile(inst, baseline, base=base)
-    ed = entropy_profile(inst, diverse, base=base)
+    eb = entropy_profile(inst, baseline)
+    ed = entropy_profile(inst, diverse)
     return _profile_gain(eb, ed)[2:]
 
 

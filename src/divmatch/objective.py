@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .instance import Instance, Matching
 # Mutation count between automatic from-scratch recomputations.
 RESYNC_INTERVAL = 1 << 16
 
-# Default cap on dense quadratic-form entries (about 80 MB of float64).
+# Cap on dense quadratic-form entries (about 80 MB of float64).
 BLOCK_MATRIX_CAP = 10 ** 7
 
 
@@ -75,14 +74,12 @@ class ClusterSums:
 
     __slots__ = ("_inst", "_sums", "_cost", "_edges", "_mutations")
 
-    def __init__(self, inst: Instance, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, inst: Instance):
         self._inst = inst
         self._sums = np.zeros((inst.n, inst.k), dtype=np.float64)
         self._cost = 0.0
         self._edges: set[tuple[int, int]] = set()
         self._mutations = 0
-        for i, j in edges:
-            self.add(i, j)
 
     @property
     def cost(self) -> float:
@@ -158,12 +155,13 @@ class BlockMatrix:
 
     __slots__ = ("matrix", "_n")
 
-    def __init__(self, inst: Instance, cap: int = BLOCK_MATRIX_CAP):
+    def __init__(self, inst: Instance):
         m, n = inst.m, inst.n
         dim = m * n
-        if dim * dim > cap:
+        if dim * dim > BLOCK_MATRIX_CAP:
             raise SizeCapError(
-                f"quadratic form needs {dim * dim} entries, cap is {cap}; "
+                f"quadratic form needs {dim * dim} entries, cap is "
+                f"{BLOCK_MATRIX_CAP}; "
                 "use diversity_cost or ClusterSums instead")
         same = inst.clusters[:, None] == inst.clusters[None, :]
         B = np.zeros((dim, dim), dtype=np.float64)
@@ -192,7 +190,6 @@ class BlockMatrix:
             fh.write("\n")
 
 
-def quadratic_form_cost(inst: Instance, match: Matching,
-                        cap: int = BLOCK_MATRIX_CAP) -> float:
+def quadratic_form_cost(inst: Instance, match: Matching) -> float:
     """Concentration cost via the explicit matrix; cross-check path."""
-    return BlockMatrix(inst, cap=cap).cost(match)
+    return BlockMatrix(inst).cost(match)

@@ -10,22 +10,21 @@ from .instance import Matching
 # A solve ends in exactly one of these states.
 OPTIMAL = "optimal"                      # proven best objective
 FEASIBLE_INCUMBENT = "feasible_incumbent"  # feasible, no optimality proof
-BUDGET_EXHAUSTED = "budget_exhausted"    # budget hit with nothing to return
-INFEASIBLE = "infeasible"                # no matching satisfies the bounds
+INFEASIBLE = "infeasible"                # no matching (see SolveReport)
 
-STATUSES = (OPTIMAL, FEASIBLE_INCUMBENT, BUDGET_EXHAUSTED, INFEASIBLE)
+STATUSES = (OPTIMAL, FEASIBLE_INCUMBENT, INFEASIBLE)
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solver run.
 
-    matching is None exactly when no feasible solution is available
-    (infeasible or budget exhausted before any incumbent).  Objective
-    values are evaluated from scratch on the returned matching, never
-    copied from solver internals.  telemetry holds solver-specific
-    counters (augmentation counts, branch nodes, prune counts and the
-    like); keys vary by algorithm.
+    matching is None exactly when the status is infeasible: the bounds
+    admit no matching, or greedy dead-ended (the diagnostic says which).
+    Objective values are evaluated from scratch on the returned
+    matching, never copied from solver internals.  telemetry holds
+    solver-specific counters (augmentation counts, branch nodes, prune
+    counts and the like); keys vary by algorithm.
     """
 
     algorithm: str
@@ -40,11 +39,9 @@ class SolveReport:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        has_match = self.matching is not None
-        if self.status in (OPTIMAL, FEASIBLE_INCUMBENT) and not has_match:
-            raise ValueError(f"status {self.status} requires a matching")
-        if self.status in (INFEASIBLE, BUDGET_EXHAUSTED) and has_match:
-            raise ValueError(f"status {self.status} must not carry a matching")
+        if (self.matching is None) != (self.status == INFEASIBLE):
+            verb = "must not carry" if self.matching is not None else "requires"
+            raise ValueError(f"status {self.status} {verb} a matching")
 
     def to_doc(self) -> dict[str, Any]:
         """JSON-ready dictionary; edge list sorted, floats untouched."""

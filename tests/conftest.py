@@ -59,3 +59,17 @@ def counting_feasible(res, usable):
         return False
     return not ((need_l > usable.sum(axis=1)).any()
                 or (need_r > usable.sum(axis=0)).any())
+
+
+def dead_end_instance():
+    """A feasible instance on which round-based greedy dead-ends.
+
+    Its one feasible matching is {(0, 1), (1, 0), (1, 1), (2, 0),
+    (2, 1)}, with cost 2.03.  Greedy gives left node 0 its cheaper right
+    node 0, after which right node 0 (upper bound 2) cannot also serve
+    left nodes 1 and 2, which both need it; left node 1 is stuck in
+    round 2 with no safe edge.
+    """
+    weights = [[0.4, 0.5], [0.4, 0.7], [0.8, 0.7]]
+    bounds = DegreeBounds.broadcast(3, 2, [1, 2, 2], [1, 2, 2], 0, [2, 3])
+    return Instance(weights, [0, 1, 2], 3, bounds)

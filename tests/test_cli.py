@@ -14,6 +14,7 @@ from divmatch import (
     diversity_cost,
     gen_instance,
     load_instance,
+    save_instance,
     solve_diverse_greedy,
     total_weight,
 )
@@ -24,6 +25,7 @@ from divmatch.cli import (
     _verify_against_oracle,
     main,
 )
+from conftest import dead_end_instance
 
 
 def write_instance(tmp_path, name="inst.json", m=4, n=3, k=2, r_lo=1,
@@ -96,6 +98,35 @@ class TestSolve:
         code = main(["solve", "--alg", "wbm", "--verify",
                      str(inst_path), str(out)])
         assert code == EXIT_OK
+
+    def test_verify_names_greedy_dead_end(self, tmp_path, capsys):
+        path = tmp_path / "dead_end.json"
+        path.write_text(save_instance(dead_end_instance()))
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--alg", "greedy", "--verify", str(path),
+                     str(out)])
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out.read_text())
+        assert doc["verify"] == "greedy dead end on a feasible instance"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "infeasible"
+        assert err["message"].startswith("greedy dead end: left node 1 ")
+
+    def test_verify_agrees_on_infeasible(self, tmp_path, capsys):
+        path = write_infeasible_instance(tmp_path)
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--alg", "dwbm", "--verify", str(path),
+                     str(out)])
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out.read_text())["verify"] == "ok"
+
+    def test_verify_skips_above_the_oracle_cap(self, tmp_path):
+        inst_path = write_instance(tmp_path, m=5, n=5, k=2, r_lo=2)
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--alg", "greedy", "--verify", str(inst_path),
+                     str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["verify"].startswith("skipped: ")
 
     def test_verify_tolerance_scales_with_weights(self):
         # At weights of order 1e-6 costs are of order 1e-12, so an

@@ -29,7 +29,7 @@ from divmatch import (
 )
 from divmatch import exact, objective
 from divmatch._residual import Residual
-from conftest import counting_feasible, random_instance
+from conftest import counting_feasible, dead_end_instance, random_instance
 
 
 class TestKnownAnswers:
@@ -410,6 +410,18 @@ class TestWarmStart:
             assert ok, violations
             assert (diversity_cost(inst, start)
                     >= exact.diversity_cost - 1e-9)
+
+    def test_min_weight_fallback_after_greedy_dead_end(self):
+        inst = dead_end_instance()
+        assert solve_diverse_greedy(inst).matching is None
+        start = warm_start(inst)
+        assert start == solve_min_weight(inst).matching
+        rep = solve_diverse_exact(inst)
+        oracle = brute_force(inst, OBJECTIVE_DIVERSITY)
+        assert rep.status == OPTIMAL
+        assert rep.matching == start == oracle.matching
+        np.testing.assert_allclose(rep.diversity_cost, 2.03, rtol=1e-12)
+        assert rep.diversity_cost == oracle.diversity_cost
 
 
 class TestDeterminism:

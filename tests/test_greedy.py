@@ -24,7 +24,7 @@ from divmatch import (
 )
 from divmatch import greedy
 from divmatch._residual import Residual
-from conftest import counting_feasible, random_instance
+from conftest import counting_feasible, dead_end_instance, random_instance
 
 
 def spread_instance():
@@ -110,6 +110,16 @@ class TestFeasibilityAndQuality:
             inst = random_instance(rng, right_constrained=True)
             rep = solve_diverse_greedy(inst)
             assert len(rep.matching.edges) == sum(inst.bounds.r_lo)
+
+
+class TestDeadEnd:
+    def test_reports_the_stuck_node(self):
+        inst = dead_end_instance()
+        assert is_feasible_bounds(inst)[0]
+        rep = solve_diverse_greedy(inst)
+        assert rep.status == INFEASIBLE and rep.matching is None
+        assert rep.diagnostic.startswith("greedy dead end: left node 1 ")
+        assert rep.telemetry == {"gain_evaluations": 4}
 
 
 class TestDeterminismAndOrder:

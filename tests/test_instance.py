@@ -77,6 +77,10 @@ class TestDegreeBounds:
         with pytest.raises(InstanceError):
             DegreeBounds.broadcast(3, 2, [0, 0], 2, 1, 3)
 
+    def test_rejects_zero_dim_array(self):
+        with pytest.raises(InstanceError, match="L_lo must be an integer"):
+            DegreeBounds.broadcast(3, 2, np.array(0), 2, 1, 3)
+
 
 class TestInstanceValidation:
     def test_accepts_valid(self):
@@ -109,6 +113,11 @@ class TestInstanceValidation:
             Instance(np.ones((2, 2)), np.array([0, 1]), 2,
                      DegreeBounds.broadcast(2, 2, 0, 3, 0, 2))
 
+    def test_rejects_non_numeric_weight(self):
+        with pytest.raises(InstanceError, match="weights"):
+            Instance([[1, "a"], [1, 1]], [0, 1], 2,
+                     DegreeBounds.broadcast(2, 2, 0, 2, 0, 2))
+
     def test_rejects_non_integer_k(self):
         with pytest.raises(InstanceError, match="k must be an integer"):
             Instance(np.ones((2, 2)), np.array([0, 1]), 2.5,
@@ -139,6 +148,14 @@ class TestMatching:
     def test_rejects_negative_index(self):
         with pytest.raises(MatchingError):
             Matching([(-1, 0)])
+
+    def test_rejects_edge_of_three_indices(self):
+        with pytest.raises(MatchingError, match="not an"):
+            Matching([(0, 1, 2)])
+
+    def test_rejects_edge_that_is_not_a_pair(self):
+        with pytest.raises(MatchingError, match="not an"):
+            Matching([5])
 
     def test_index_integer_check(self):
         match = Matching([(np.int64(1), np.int32(0))])

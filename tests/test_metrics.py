@@ -56,12 +56,6 @@ class TestNodeEntropy:
         inst = homogeneous_instance(r_lo=0)
         assert node_entropy(inst, Matching([]), 0) is None
 
-    def test_base_two(self):
-        inst = homogeneous_instance(k=2, per_cluster=2, r_lo=2)
-        match = Matching([(0, 0), (2, 0)])
-        np.testing.assert_allclose(
-            node_entropy(inst, match, 0, base=2.0), 1.0)
-
     def test_bounded_by_log_k(self):
         rng = np.random.default_rng(501)
         for _ in range(60):
@@ -120,14 +114,6 @@ class TestEntropyGain:
         diverse = Matching([(0, 0), (2, 0), (4, 0)])
         eg, _ = entropy_gain(inst, base, diverse)
         assert eg > 1.0
-
-    def test_base_choice_cancels(self):
-        inst = homogeneous_instance(k=3, per_cluster=2, r_lo=3)
-        base = Matching([(0, 0), (1, 0), (2, 0)])
-        diverse = Matching([(0, 0), (2, 0), (4, 0)])
-        eg_e, _ = entropy_gain(inst, base, diverse)
-        eg_2, _ = entropy_gain(inst, base, diverse, base=2.0)
-        np.testing.assert_allclose(eg_e, eg_2, rtol=1e-12)
 
 
 class TestPriceOfDiversity:

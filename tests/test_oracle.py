@@ -1,5 +1,7 @@
 """Tests for the brute-force enumeration oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from divmatch import (
     EnumerationBudget,
     INFEASIBLE,
     Instance,
+    Matching,
     OBJECTIVE_DIVERSITY,
     OBJECTIVE_WEIGHT,
     OPTIMAL,
@@ -168,3 +171,118 @@ class TestEnumeratePod:
             assert pod >= bound - 1e-9
             checked += 1
         assert checked >= 50
+
+
+def _reference_brute_force(inst):
+    """The full scan over all 2^(m*n) edge subsets that the row-bounded
+    product replaced, for both objectives in one pass.  Returns each
+    objective's optimal edges (None if infeasible) and the number of
+    feasible subsets."""
+    m, n = inst.m, inst.n
+    num_edges = m * n
+    total = 1 << num_edges
+    b = inst.bounds
+    proj = np.zeros((num_edges, n * inst.k))
+    for i in range(m):
+        for j in range(n):
+            proj[i * n + j, j * inst.k + inst.clusters[i]] = inst.weights[i, j]
+    best = {OBJECTIVE_WEIGHT: (math.inf, None),
+            OBJECTIVE_DIVERSITY: (math.inf, None)}
+    feasible = 0
+    for lo in range(0, total, 1 << 14):
+        codes = np.arange(lo, min(lo + (1 << 14), total), dtype=np.uint64)
+        bits = ((codes[:, None] >> np.arange(num_edges, dtype=np.uint64))
+                & np.uint64(1)).astype(np.float64)
+        shaped = bits.reshape(len(codes), m, n)
+        deg_l, deg_r = shaped.sum(axis=2), shaped.sum(axis=1)
+        ok = (np.all(deg_l >= np.array(b.l_lo), axis=1)
+              & np.all(deg_l <= np.array(b.l_hi), axis=1)
+              & np.all(deg_r >= np.array(b.r_lo), axis=1)
+              & np.all(deg_r <= np.array(b.r_hi), axis=1))
+        feasible += int(ok.sum())
+        if not ok.any():
+            continue
+        sums = bits @ proj
+        for objective, values in (
+                (OBJECTIVE_WEIGHT, bits @ inst.weights.reshape(-1)),
+                (OBJECTIVE_DIVERSITY, np.einsum("ij,ij->i", sums, sums))):
+            values = np.where(ok, values, math.inf)
+            chunk_best = float(values.min())
+            best_value, best_edges = best[objective]
+            if chunk_best > best_value:
+                continue
+            if chunk_best < best_value:
+                best_value, best_edges = chunk_best, None
+            for code in codes[values == best_value]:
+                edges = tuple((e // n, e % n) for e in range(num_edges)
+                              if int(code) >> e & 1)
+                if best_edges is None or edges < best_edges:
+                    best_edges = edges
+            best[objective] = best_value, best_edges
+    return {objective: edges for objective, (_, edges) in best.items()}, feasible
+
+
+class TestPrunedEnumeration:
+    def test_matches_the_full_scan(self):
+        rng = np.random.default_rng(1307)
+        seen = {"1 x n": 0, "m x 1": 0, "right only": 0, "L_hi = 0 row": 0,
+                "R_hi = 0 column": 0, "tied weights": 0, "infeasible": 0,
+                "optimal": 0}
+        for trial in range(320):
+            if trial % 8 == 0:
+                m, n = 1, int(rng.integers(1, 13))
+            elif trial % 8 == 1:
+                m, n = int(rng.integers(1, 13)), 1
+            else:
+                # the reference scan doubles in cost with every cell, so
+                # only one instance in eight reaches the full 20 cells
+                cells = 20 if trial % 8 == 2 else 12
+                m, n = 6, 6
+                while m * n > cells:
+                    m, n = (int(x) for x in rng.integers(2, 6, 2))
+            k = int(rng.integers(1, m + 1))
+            clusters = rng.permutation(
+                np.concatenate((np.arange(k), rng.integers(0, k, m - k))))
+            weights = rng.random((m, n))
+            if trial % 2:
+                weights = np.floor(3 * weights)
+            r_hi = rng.integers(0, m + 1, n)
+            r_lo = rng.integers(0, r_hi + 1)
+            if trial % 3 == 0:
+                l_lo, l_hi = np.zeros(m, dtype=int), np.full(m, n)
+            else:
+                l_hi = rng.integers(0, n + 1, m)
+                l_lo = rng.integers(0, l_hi + 1)
+            bounds = DegreeBounds.broadcast(m, n, l_lo, l_hi, r_lo, r_hi)
+            inst = Instance(weights, clusters, k, bounds)
+            optima, feasible = _reference_brute_force(inst)
+            for objective, edges in optima.items():
+                rep = brute_force(inst, objective)
+                assert rep.telemetry["feasible"] == feasible
+                if edges is None:
+                    assert rep.status == INFEASIBLE
+                    continue
+                assert rep.status == OPTIMAL
+                assert rep.matching.edges == edges
+                match = Matching(edges)
+                assert rep.total_weight == total_weight(inst, match)
+                assert rep.diversity_cost == diversity_cost(inst, match)
+            seen["1 x n"] += m == 1
+            seen["m x 1"] += n == 1
+            seen["right only"] += inst.right_only
+            seen["L_hi = 0 row"] += bool(np.any(l_hi == 0))
+            seen["R_hi = 0 column"] += bool(np.any(r_hi == 0))
+            seen["tied weights"] += trial % 2
+            seen["infeasible"] += rep.status == INFEASIBLE
+            seen["optimal"] += rep.status == OPTIMAL
+        assert min(seen.values()) >= 30, seen
+
+    def test_enumerates_only_rows_within_their_bounds(self):
+        tight = Instance(np.ones((3, 2)), np.array([0, 0, 1]), 2,
+                         DegreeBounds.broadcast(3, 2, 2, 2, 3, 3))
+        open_ = Instance(np.ones((2, 2)), np.array([0, 1]), 2,
+                         DegreeBounds.broadcast(2, 2, 0, 2, 0, 2))
+        assert brute_force(tight).telemetry == {
+            "subsets": 64, "enumerated": 1, "feasible": 1}
+        assert brute_force(open_).telemetry == {
+            "subsets": 16, "enumerated": 16, "feasible": 16}

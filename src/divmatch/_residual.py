@@ -4,7 +4,9 @@ Greedy and branch and bound both ask of a partial edge set which nodes
 still owe edges, which edges can still be added and what the next edge
 would cost.  An edge is taken, forbidden (by a branching decision) or
 open; closed marks taken or forbidden edges, so for greedy, which never
-forbids, closed equals taken.
+forbids, closed equals taken.  The selection is recorded once: the
+taken mask is the cluster sums' own selection mask, and decide/undo
+are the only ways to change it.
 
 Both also ask whether the residual lower bounds can still be met; one
 counting check answers that.  Greedy takes from safe_partners the edges
@@ -23,9 +25,10 @@ from .objective import ClusterSums
 class Residual:
     """Masks, degrees and cluster sums of one partial selection.
 
-    Starts empty; solvers change it one edge at a time.  It keeps no
-    availability counters: the counting check is evaluated from counts
-    taken per call, for all of a node's candidates at once.
+    Starts empty; solvers change it one edge at a time with decide and
+    reverse that with undo.  taken is a read-only view of sums.selected.
+    It keeps no availability counters: the counting check is evaluated
+    from counts taken per call, for all of a node's candidates at once.
     """
 
     __slots__ = ("inst", "l_lo", "l_hi", "r_lo", "r_hi", "taken", "closed",
@@ -38,40 +41,28 @@ class Residual:
         self.l_hi = np.array(b.l_hi, dtype=np.int64)
         self.r_lo = np.array(b.r_lo, dtype=np.int64)
         self.r_hi = np.array(b.r_hi, dtype=np.int64)
-        self.taken = np.zeros((inst.m, inst.n), dtype=bool)
+        self.sums = ClusterSums(inst)
+        self.taken = self.sums.selected
         self.closed = np.zeros((inst.m, inst.n), dtype=bool)
         self.deg_l = np.zeros(inst.m, dtype=np.int64)
         self.deg_r = np.zeros(inst.n, dtype=np.int64)
-        self.sums = ClusterSums(inst)
 
-    def take(self, i: int, j: int) -> float:
-        """Select edge (i, j); returns its gain."""
-        self.taken[i, j] = True
+    def decide(self, i: int, j: int, take: bool) -> float:
+        """Take or forbid edge (i, j); returns the cost increase."""
         self.closed[i, j] = True
+        if not take:
+            return 0.0
         self.deg_l[i] += 1
         self.deg_r[j] += 1
         return self.sums.add(i, j)
 
-    def untake(self, i: int, j: int) -> None:
-        self.taken[i, j] = False
-        self.closed[i, j] = False
-        self.deg_l[i] -= 1
-        self.deg_r[j] -= 1
-        self.sums.remove(i, j)
-
-    def decide(self, i: int, j: int, take: bool) -> float:
-        """Take or forbid edge (i, j); returns the cost increase."""
-        if take:
-            return self.take(i, j)
-        self.closed[i, j] = True
-        return 0.0
-
     def undo(self, i: int, j: int, took: bool) -> None:
         """Reverse decide(i, j, took)."""
+        self.closed[i, j] = False
         if took:
-            self.untake(i, j)
-        else:
-            self.closed[i, j] = False
+            self.deg_l[i] -= 1
+            self.deg_r[j] -= 1
+            self.sums.remove(i, j)
 
     def matching(self) -> Matching:
         """The taken edges."""

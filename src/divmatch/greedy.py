@@ -85,7 +85,7 @@ def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
                             f"greedy dead end: {side} node {node} owes "
                             f"{owes} more edge(s) but has no feasible "
                             "incident edge")
-                    res.take(*edge)
+                    res.decide(*edge, True)
     return res.matching(), gain_evaluations, ""
 
 

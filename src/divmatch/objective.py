@@ -15,9 +15,8 @@ x^T B x equals the concentration cost.  BlockMatrix materializes B for
 small instances as an independent cross-check and for inspection; solvers
 never build it.
 
-ClusterSums is the incremental form used inside solvers: constant-time
-marginal gains and updates, with periodic recomputation to shed float
-drift on very long runs.
+ClusterSums is the incremental form used inside solvers: the sums table
+and the selection mask, with constant-time marginal gains and updates.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ import numpy as np
 
 from .errors import InternalError, SizeCapError
 from .instance import Instance, Matching
-
-# Mutation count between automatic from-scratch recomputations.
-RESYNC_INTERVAL = 1 << 16
 
 # Cap on dense quadratic-form entries (about 80 MB of float64).
 BLOCK_MATRIX_CAP = 10 ** 7
@@ -59,36 +55,44 @@ def diversity_cost(inst: Instance, match: Matching) -> float:
 
 
 class ClusterSums:
-    """Incremental tracker of per-(right node, cluster) selected weight.
+    """Per-(right node, cluster) selected weight and the selection itself.
 
-    Maintains sums[j][c] and the concentration cost under single-edge adds
-    and removes.  gain() prices an add without applying it; the same
-    number is what a solver should add to its objective when it commits
-    the edge.  Every RESYNC_INTERVAL mutations the sums and cost are
-    recomputed from the tracked edge set with compensated summation, so
-    drift cannot accumulate over long searches.
+    Keeps the sums table, sums[j][c], and the m x n mask of selected
+    edges under single-edge adds and removes.  gain() prices an add
+    without applying it; the same number is what a solver should add to
+    its objective when it commits the edge.  The sums are updated in
+    place and never recomputed from scratch; the rounding of the updates
+    stays orders of magnitude below the solvers' tolerances, and
+    solve_diverse_exact checks its tracked cost against a fresh one.
+    cost is read from the table on demand, for inspection only.
 
     Double-adding an edge, or removing one that is not selected, raises
     InternalError: callers own dedup and this class enforces it.
     """
 
-    __slots__ = ("_inst", "_sums", "_cost", "_edges", "_mutations")
+    __slots__ = ("_inst", "_sums", "_selected")
 
     def __init__(self, inst: Instance):
         self._inst = inst
         self._sums = np.zeros((inst.n, inst.k), dtype=np.float64)
-        self._cost = 0.0
-        self._edges: set[tuple[int, int]] = set()
-        self._mutations = 0
+        self._selected = np.zeros((inst.m, inst.n), dtype=bool)
 
     @property
     def cost(self) -> float:
-        return self._cost
+        """Concentration cost of the selection: fsum of the squared sums."""
+        return math.fsum((self._sums * self._sums).ravel().tolist())
 
     @property
     def table(self) -> np.ndarray:
         """Read-only view of the sums, indexed [right node, cluster]."""
         view = self._sums.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def selected(self) -> np.ndarray:
+        """Read-only view of the selection mask, indexed [left, right]."""
+        view = self._selected.view()
         view.flags.writeable = False
         return view
 
@@ -100,46 +104,20 @@ class ClusterSums:
 
     def add(self, i: int, j: int) -> float:
         """Apply an add; returns the cost increase."""
-        if (i, j) in self._edges:
+        if self._selected[i, j]:
             raise InternalError(f"edge ({i}, {j}) added twice")
         delta = self.gain(i, j)
-        w = float(self._inst.weights[i, j])
-        c = int(self._inst.clusters[i])
-        self._sums[j, c] += w
-        self._cost += delta
-        self._edges.add((i, j))
-        self._bump()
+        self._sums[j, self._inst.clusters[i]] += float(self._inst.weights[i, j])
+        self._selected[i, j] = True
         return delta
 
     def remove(self, i: int, j: int) -> float:
         """Apply a remove; returns the cost decrease."""
-        if (i, j) not in self._edges:
+        if not self._selected[i, j]:
             raise InternalError(f"edge ({i}, {j}) removed but not selected")
-        w = float(self._inst.weights[i, j])
-        c = int(self._inst.clusters[i])
-        self._sums[j, c] -= w
-        delta = w * w + 2.0 * w * float(self._sums[j, c])
-        self._cost -= delta
-        self._edges.discard((i, j))
-        self._bump()
-        return delta
-
-    def _bump(self) -> None:
-        self._mutations += 1
-        if self._mutations >= RESYNC_INTERVAL:
-            self.resync()
-
-    def resync(self) -> None:
-        """Recompute sums and cost exactly from the tracked edges."""
-        inst = self._inst
-        groups: dict[tuple[int, int], list[float]] = defaultdict(list)
-        for i, j in self._edges:
-            groups[(j, int(inst.clusters[i]))].append(float(inst.weights[i, j]))
-        self._sums.fill(0.0)
-        for (j, c), vals in groups.items():
-            self._sums[j, c] = math.fsum(vals)
-        self._cost = math.fsum(math.fsum(g) ** 2 for g in groups.values())
-        self._mutations = 0
+        self._sums[j, self._inst.clusters[i]] -= float(self._inst.weights[i, j])
+        self._selected[i, j] = False
+        return self.gain(i, j)
 
 
 class BlockMatrix:

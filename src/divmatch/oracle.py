@@ -54,11 +54,14 @@ def _row_table(n: int, lo: int, hi: int) -> np.ndarray:
     """0/1 columns of one left row's n-bit masks with popcount in [lo, hi],
     one mask per row, in ascending mask order."""
     masks = np.arange(1 << n, dtype=np.uint32)
+    degree = np.zeros(len(masks), dtype=np.int8)
+    for j in range(n):
+        degree += (masks >> j & 1).astype(np.int8)
+    masks = masks[(degree >= lo) & (degree <= hi)]
     cols = np.empty((len(masks), n), dtype=np.int8)
     for j in range(n):
         cols[:, j] = masks >> j & 1
-    degree = cols.sum(axis=1, dtype=np.int8)
-    return cols[(degree >= lo) & (degree <= hi)]
+    return cols
 
 
 def _objective_matrix(inst: Instance, objective: str) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from divmatch import (
+    ClusterSums,
     ConfigError,
     DegreeBounds,
     EnumerationBudget,
@@ -27,7 +28,7 @@ from divmatch import (
     solve_min_weight,
     warm_start,
 )
-from divmatch import exact, objective
+from divmatch import exact
 from divmatch._residual import Residual
 from conftest import counting_feasible, dead_end_instance, random_instance
 
@@ -364,35 +365,83 @@ class TestCompletionBound:
         assert checked >= 500 and both_sides >= 100 and totals_only >= 10
 
 
-class TestResync:
-    def test_frequent_resync_keeps_the_answer(self, monkeypatch):
-        # One residual lives through the whole search, so long proofs
-        # pass RESYNC_INTERVAL; recomputing the sums must not change
-        # the result.
+def grouped_sums(inst, mask):
+    """Per-(right node, cluster) sums of the masked weights, fsum each."""
+    fresh = np.zeros((inst.n, inst.k))
+    for j in range(inst.n):
+        for c in range(inst.k):
+            fresh[j, c] = math.fsum(
+                inst.weights[mask[:, j] & (inst.clusters == c), j].tolist())
+    return fresh
+
+
+class TestSumsDrift:
+    # The cluster sums are updated in place and never recomputed, so
+    # long runs must keep them glued to a fresh grouped recompute of the
+    # selection they record.
+    INST = gen_instance(GeneratorConfig(m=10, n=10, k=3, l_lo=0, l_hi=10,
+                                        r_lo=0, r_hi=10, seed=(426, 10)))
+
+    def test_lifo_walk_on_one_residual(self):
+        # 2^17 decide/undo steps in last-in, first-out order, as branch
+        # and bound applies them to its one long-lived residual.
+        inst = self.INST
+        res = Residual(inst)
         rng = np.random.default_rng(426)
-        checked = 0
-        for _ in range(400):
-            inst = random_instance(rng, max_m=5, max_n=5, max_cells=25)
-            default = solve_diverse_exact(inst)
-            if (default.status == INFEASIBLE
-                    or default.telemetry["expanded"] < 5):
-                continue
-            with monkeypatch.context() as patch:
-                patch.setattr(objective, "RESYNC_INTERVAL", 5)
-                rep = solve_diverse_exact(inst)
-            assert rep.status == default.status
-            assert rep.matching == default.matching
-            # a resync that skews the sums moves the bounds, and with
-            # them the nodes searched, even where the answer survives
-            for key in ("expanded", "pruned"):
-                assert rep.telemetry[key] == default.telemetry[key]
-            np.testing.assert_allclose(rep.diversity_cost,
-                                       default.diversity_cost, rtol=1e-9,
-                                       atol=0)
-            checked += 1
-            if checked == 30:
-                break
-        assert checked == 30
+        steps = 1 << 17
+        push = rng.random(steps) < 0.55
+        cells = rng.integers(0, inst.m * inst.n, steps)
+        takes = rng.random(steps) < 0.7
+        trail = []
+        taken = np.zeros((inst.m, inst.n), dtype=bool)
+        for step in range(steps):
+            i, j = divmod(int(cells[step]), inst.n)
+            if trail and (not push[step] or res.closed[i, j]):
+                i, j, took = trail.pop()
+                res.undo(i, j, took)
+                taken[i, j] = False
+            elif not res.closed[i, j]:
+                took = bool(takes[step])
+                res.decide(i, j, took)
+                trail.append((i, j, took))
+                taken[i, j] = took
+            if step % 4096 == 0:
+                assert np.array_equal(res.taken, taken)
+                assert np.array_equal(res.sums.selected, taken)
+                np.testing.assert_allclose(res.sums.table,
+                                           grouped_sums(inst, taken),
+                                           rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.sums.table, grouped_sums(inst, taken),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.sums.cost,
+                                   diversity_cost(inst, res.matching()),
+                                   rtol=1e-12, atol=1e-12)
+        while trail:
+            res.undo(*trail.pop())
+        assert not res.taken.any() and not res.closed.any()
+        assert not res.deg_l.any() and not res.deg_r.any()
+        np.testing.assert_allclose(res.sums.table, 0.0, rtol=0, atol=1e-12)
+
+    def test_random_toggles_on_bare_cluster_sums(self):
+        inst = self.INST
+        sums = ClusterSums(inst)
+        rng = np.random.default_rng(427)
+        selected = np.zeros((inst.m, inst.n), dtype=bool)
+        for step, cell in enumerate(rng.integers(0, inst.m * inst.n,
+                                                 1 << 17).tolist()):
+            i, j = divmod(cell, inst.n)
+            if selected[i, j]:
+                sums.remove(i, j)
+            else:
+                sums.add(i, j)
+            selected[i, j] = not selected[i, j]
+            if step % 4096 == 0:
+                np.testing.assert_allclose(sums.table,
+                                           grouped_sums(inst, selected),
+                                           rtol=0, atol=1e-12)
+        assert np.array_equal(sums.selected, selected)
+        np.testing.assert_allclose(sums.table, grouped_sums(inst, selected),
+                                   rtol=0, atol=1e-12)
 
 
 class TestWarmStart:

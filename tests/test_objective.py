@@ -128,8 +128,8 @@ class TestClusterSums:
             sums.remove(1, 0)
 
     def test_long_edit_script_stays_accurate(self):
-        # Interleaved adds and removes; periodic resync must keep the
-        # accumulated sums glued to the ground truth.
+        # Interleaved adds and removes; the sums are never recomputed, so
+        # the cost read from them must stay glued to the ground truth.
         rng = np.random.default_rng(23)
         inst = random_instance(rng, max_m=4, max_n=4)
         sums = ClusterSums(inst)

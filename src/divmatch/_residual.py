@@ -10,8 +10,8 @@ are the only ways to change it.
 
 Both also ask whether the residual lower bounds can still be met; one
 counting check answers that.  Greedy takes from safe_partners the edges
-that keep it, and branch and bound's completion bound
-(exact.completion_bound) is infinite exactly where it fails.
+that keep it, and branch and bound's completion bound (priced by
+exact._Pricer) is infinite exactly where it fails.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ on one residual state, the one the greedy solver also uses (taken and
 closed masks, degrees, cluster sums).  An undo trail records the
 decisions applied to it along the current path: popping a node undoes
 the trail back to its parent's depth and applies the node's one
-decision.  Its two children are take/forbid steps on that state, undone
-after they are priced, and the child with the lower bound is popped
-first.  Open nodes live on an explicit stack that never holds more than
-one pending sibling per level, so memory stays linear in the depth.
+decision.  Its two children, take and forbid, are priced from that
+state without being applied, and the child with the lower bound is
+popped first.  Open nodes live on an explicit stack of scalar tuples
+that never holds more than one pending sibling per level, so memory
+stays linear in the depth.
 
 The lower bound is the committed cost plus a completion floor from one
 gains matrix: entry (i, j) is edge (i, j)'s marginal gain against the
@@ -34,10 +35,15 @@ monotone, a node whose lower bounds are all met is a complete
 candidate; its committed edge set is offered as the incumbent and the
 subtree closes.
 
-One pricing step handles every node, the root included: usable mask,
-bound (which carries the counting check), cutoff, then, for a kept
-node, its branch edge (the heaviest usable edge at an owing node).  The
-root thus enters the stack with its real bound.
+Pricing is batched per expansion: one step prices both children of a
+node, and a batch of one prices the root, which thus enters the stack
+with its real bound.  It builds the parent's masked gains matrix once
+and derives the take child's from it, sorts the rows of both children
+in one call and their columns in another, reads the counting check's
+side totals off the upper-bound sums less the taken count, and picks
+each kept child's branch edge (the heaviest usable edge at an owing
+right node, else at an owing left node).  The matrices are rebuilt from
+the residual state at each expansion, never stored on the stack.
 
 The search is anytime: a greedy warm start seeds the incumbent and a
 millisecond budget stops the search early with the best incumbent.
@@ -125,59 +131,135 @@ def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
     return Matching(edges), sum(best.tolist())
 
 
-def _cheapest(gains: np.ndarray, need: np.ndarray) -> float:
-    """Sum over rows of each row's need[row] smallest gains."""
-    rows = np.nonzero(need > 0)[0]
-    if rows.size == 0:
-        return 0.0
-    prefix = np.sort(gains[rows], axis=1).cumsum(axis=1)
-    return float(prefix[np.arange(rows.size), need[rows] - 1].sum())
+class _Pricer:
+    """Bounds and branch edges of res's state or of its two children.
 
-
-def completion_bound(res: Residual, usable: np.ndarray) -> float:
-    """Optimistic extra cost to satisfy all residual lower bounds.
-
-    Infinite exactly when the counting check fails.  An owing node with
-    fewer usable edges than it owes makes its _cheapest sum infinite,
-    so only the side totals need a test of their own.
+    The parent's gains matrix is infinite at every closed edge, full row
+    and full column.  Taking (i, j) changes only column j's entries from
+    i's cluster, priced on the sum ClusterSums.add would leave, and
+    closes (i, j), plus row i or column j if the take fills that node.
+    Both children's rows (left nodes) are sorted by one call and their
+    columns (right nodes) by another, in one flat buffer, so one index
+    reads every owing node's cheapest-need sum.  The buffers belong to
+    one solve and carry nothing from one call to the next.
     """
-    need_l, need_r = res.l_lo - res.deg_l, res.r_lo - res.deg_r
-    if (np.maximum(need_l, 0).sum() > (res.r_hi - res.deg_r).sum()
-            or np.maximum(need_r, 0).sum() > (res.l_hi - res.deg_l).sum()):
-        return math.inf
-    w = res.inst.weights
-    gains = w * w + (2.0 * w) * res.sums.table[:, res.inst.clusters].T
-    gains[~usable] = math.inf
-    return max(_cheapest(gains.T, need_r), _cheapest(gains, need_l))
 
+    def __init__(self, res: Residual):
+        inst = res.inst
+        m, n = inst.m, inst.n
+        self.res, self.m, self.n = res, m, n
+        self.clusters = inst.clusters
+        w = self.w = inst.weights
+        self.w2, self.tw = w * w, 2.0 * w
+        self.lo = np.concatenate((res.r_lo, res.l_lo))
+        self.cap_l, self.cap_r = int(res.l_hi.sum()), int(res.r_hi.sum())
+        self.usable = np.empty((2, m, n), dtype=bool)
+        self.table = np.empty((2, inst.k, n))  # cluster sums, transposed
+        self.need = np.empty((2, n + m), dtype=np.int64)
+        # sorted prefix sums of each right node's column (cols) and each
+        # left node's row (rows) in one flat buffer; base[s, node] is
+        # where the node's run starts
+        self.prefix = np.empty(4 * m * n)
+        self.cols = self.prefix[:2 * m * n].reshape(2, n, m)
+        self.rows = self.prefix[2 * m * n:].reshape(2, m, n)
+        self.base = np.concatenate((m * np.arange(2 * n).reshape(2, n),
+                                    2 * m * n
+                                    + n * np.arange(2 * m).reshape(2, m)),
+                                   axis=1)
+        # no node owes more than its lower bound, so only a run's first
+        # max-bound prefix sums are read
+        self.heads = ((self.cols, int(res.r_lo.max())),
+                      (self.rows, int(res.l_lo.max())))
+        # segment[s, node]: which (state, side) sum an owing node joins
+        self.segment = 2 * np.arange(2)[:, None] + (np.arange(n + m) >= n)
+        # pools[s, 0] marks state s's usable edges at owing right nodes,
+        # pools[s, 1] those at owing left nodes
+        self.pools = np.empty((2, 2, m, n), dtype=bool)
 
-def _branch_edge(res: Residual, usable: np.ndarray) -> int:
-    """Flat index i * n + j of the heaviest usable edge at an owing node.
+    def price(self, committed: float, cutoff: float, taken: int,
+              edge: int = -1) -> list[Optional[tuple[float, float, int]]]:
+        """(bound, committed cost, branch edge) per state, None if pruned.
 
-    -1 when no node owes.  A state with a finite bound always has a
-    usable edge at an owing node.
-    """
-    owing_l, owing_r = res.owing()
-    if not owing_r.any() and not owing_l.any():
-        return -1
-    pool = usable & owing_r[None, :]
-    if not pool.any():
-        pool = usable & owing_l[:, None]
-    if not pool.any():
-        raise InternalError("owing node with no usable edge has a "
-                            "finite bound")
-    # ties: argmax takes the first, (i, j) lex
-    return int(np.argmax(np.where(pool, res.inst.weights, -math.inf)))
+        The batch is res's state when edge is -1, else the take and the
+        forbid child of flat edge i * n + j, in that order; committed
+        and taken (the number of taken edges) are res's.  A branch edge
+        is the flat index of the heaviest usable edge at an owing right
+        node, else at an owing left node, ties to the first; -1 when no
+        node owes.
+        """
+        res, m, n = self.res, self.m, self.n
+        size = 1 if edge < 0 else 2
+        usable, table = self.usable[:size], self.table[:size]
+        need, rows = self.need[:size], self.rows[:size]
+        usable[:] = res.usable()
+        table[:] = res.sums.table.T
+        need[:] = self.lo - np.concatenate((res.deg_r, res.deg_l))
+        commits, takens = [committed], [taken]
+        if edge >= 0:
+            i, j = divmod(edge, n)
+            commits = [committed + res.sums.gain(i, j), committed]
+            takens = [taken + 1, taken]
+            usable[:, i, j] = False
+            table[0, self.clusters[i], j] += self.w[i, j]
+            need[0, j] -= 1
+            need[0, n + i] -= 1
+            if res.deg_l[i] + 1 >= res.l_hi[i]:
+                usable[0, i, :] = False
+            if res.deg_r[j] + 1 >= res.r_hi[j]:
+                usable[0, :, j] = False
 
+        # rows[s, i, j] = w2 + tw * S[j, c(i)], edge (i, j)'s gain
+        np.multiply(self.tw, table[:, self.clusters], out=rows)
+        rows += self.w2
+        rows[~usable] = math.inf
+        self.cols[:size] = rows.transpose(0, 2, 1)
+        for run, top in self.heads:
+            run = run[:size]
+            run.sort(axis=2)
+            if top > 1:  # else each run's first entry is its only sum read
+                head = run[..., :top]
+                np.add.accumulate(head, axis=2, out=head)
+        owing = need > 0
+        debt, segment = need[owing], self.segment[:size][owing]
+        cheapest = self.prefix[self.base[:size][owing] + debt - 1]
+        owed = np.bincount(segment, debt, 2 * size).tolist()
+        sums = np.bincount(segment, cheapest, 2 * size)
+        # bincount adds each side's terms in node order, as a numpy sum
+        # does below eight terms; from eight on numpy adds pairwise, so
+        # such a side is summed as the bound has always summed it
+        counts = np.bincount(segment, minlength=2 * size).tolist()
+        for k, count in enumerate(counts):
+            if count >= 8:
+                sums[k] = cheapest[segment == k].sum()
+        sums = sums.tolist()
 
-def _price(res: Residual, committed: float,
-           cutoff: float) -> Optional[tuple[float, int]]:
-    """(bound, branch edge) of res's state, or None if it is pruned."""
-    usable = res.usable()
-    bound = committed + completion_bound(res, usable)
-    if bound >= cutoff:
-        return None
-    return bound, _branch_edge(res, usable)
+        pools = self.pools[:size]
+        np.logical_and(usable, owing[:, None, :n], out=pools[:, 0])
+        np.logical_and(usable, owing[:, n:, None], out=pools[:, 1])
+        pools = pools.reshape(size, 2, m * n)
+        heaviest = np.where(pools, self.w.ravel(), -math.inf).argmax(
+            axis=2).tolist()
+
+        out: list[Optional[tuple[float, float, int]]] = []
+        for s in range(size):
+            owe_r, owe_l = owed[2 * s], owed[2 * s + 1]
+            spare_l, spare_r = self.cap_l - takens[s], self.cap_r - takens[s]
+            if owe_l > spare_r or owe_r > spare_l:
+                bound = math.inf
+            else:
+                bound = commits[s] + max(sums[2 * s], sums[2 * s + 1])
+            if bound >= cutoff:
+                out.append(None)
+                continue
+            branch = -1
+            if owe_r + owe_l > 0:
+                side = 0 if pools[s, 0, heaviest[s][0]] else 1
+                branch = heaviest[s][side]
+                if not pools[s, side, branch]:
+                    raise InternalError("owing node with no usable edge has "
+                                        "a finite bound")
+            out.append((bound, commits[s], branch))
+        return out
 
 
 def _branch_and_bound(inst: Instance, start: float,
@@ -191,13 +273,15 @@ def _branch_and_bound(inst: Instance, start: float,
     updates = [(time.perf_counter() - start, best_value)]
 
     res, n = Residual(inst), inst.n
-    root = _price(res, 0.0, cutoff)
-    expanded, pruned = 0, int(root is None)
+    pricer = _Pricer(res)
+    root = pricer.price(0.0, cutoff, 0)[0]
+    expanded, pruned, peak_depth = 0, int(root is None), 0
     # open nodes as (bound, committed, depth, edge, take, branch): edge
     # (flat i * n + j, -1 at the root) is taken or forbidden on the way
     # from the parent, branch is the node's own branch edge
-    stack = [] if root is None else [(root[0], 0.0, 0, -1, False, root[1])]
+    stack = [] if root is None else [(root[0], 0.0, 0, -1, False, root[2])]
     trail: list[tuple[int, int, bool]] = []  # decisions applied to res
+    taken = 0  # edges taken along the trail
     timed_out = False
 
     while stack:
@@ -210,11 +294,15 @@ def _branch_and_bound(inst: Instance, start: float,
             continue
         if edge >= 0:
             while len(trail) >= depth:
-                res.undo(*trail.pop())
+                step = trail.pop()
+                res.undo(*step)
+                taken -= step[2]
             i, j = divmod(edge, n)
             res.decide(i, j, take)
             trail.append((i, j, take))
+            taken += take
         expanded += 1
+        peak_depth = max(peak_depth, depth)
 
         if flat == -1:
             # all lower bounds met: the committed set is a full candidate
@@ -227,17 +315,14 @@ def _branch_and_bound(inst: Instance, start: float,
                 updates.append((time.perf_counter() - start, value))
             continue
 
-        i, j = divmod(flat, n)
         children = []
-        for take in (True, False):
-            child_committed = committed + res.decide(i, j, take)
-            priced = _price(res, child_committed, cutoff)
+        for take, priced in zip((True, False),
+                                pricer.price(committed, cutoff, taken, flat)):
             if priced is None:
                 pruned += 1
             else:
-                children.append((priced[0], child_committed, depth + 1,
-                                 flat, take, priced[1]))
-            res.undo(i, j, take)
+                children.append((priced[0], priced[1], depth + 1, flat,
+                                 take, priced[2]))
         # the last one pushed pops first: the lower bound, take on a tie
         if len(children) == 2 and children[0][0] <= children[1][0]:
             children.reverse()
@@ -246,7 +331,7 @@ def _branch_and_bound(inst: Instance, start: float,
     lower_bound = min([cutoff] + [node[0] for node in stack])
     return incumbent, best_value, lower_bound, timed_out, {
         "fast_path": False, "expanded": expanded, "pruned": pruned,
-        "incumbent_updates": updates}
+        "peak_depth": peak_depth, "incumbent_updates": updates}
 
 
 def solve_diverse_exact(inst: Instance,
@@ -278,7 +363,7 @@ def solve_diverse_exact(inst: Instance,
         incumbent, tracked = _solve_right_constrained(inst)
         lower_bound, timed_out = None, False
         telemetry = {"fast_path": True, "expanded": 0, "pruned": 0,
-                     "incumbent_updates": []}
+                     "peak_depth": 0, "incumbent_updates": []}
     else:
         incumbent, tracked, lower_bound, timed_out, telemetry = (
             _branch_and_bound(inst, start, deadline))

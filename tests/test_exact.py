@@ -322,47 +322,253 @@ def best_completion(res):
     return float((sums * sums).sum(axis=1).min())
 
 
+def reference_branch_edge(res, usable):
+    """Flat index i * n + j of the heaviest usable edge at an owing right
+    node, else at an owing left node, ties to the first; -1 when no node
+    owes.  The rule branch and bound has always branched on."""
+    owing_l, owing_r = res.owing()
+    if not owing_r.any() and not owing_l.any():
+        return -1
+    pool = usable & owing_r[None, :]
+    if not pool.any():
+        pool = usable & owing_l[:, None]
+    assert pool.any()
+    return int(np.argmax(np.where(pool, res.inst.weights, -math.inf)))
+
+
+def reference_completion(res, usable):
+    """The completion bound as one numpy sum per side: each owing node's
+    row (left) or column (right) of masked gains sorted and cumsummed,
+    its need-th prefix taken; inf where a side total fails."""
+    need_l, need_r = res.l_lo - res.deg_l, res.r_lo - res.deg_r
+    if (np.maximum(need_l, 0).sum() > (res.r_hi - res.deg_r).sum()
+            or np.maximum(need_r, 0).sum() > (res.l_hi - res.deg_l).sum()):
+        return math.inf
+    w = res.inst.weights
+    gains = w * w + (2.0 * w) * res.sums.table[:, res.inst.clusters].T
+    gains[~usable] = math.inf
+    totals = []
+    for rows, need in ((gains.T, need_r), (gains, need_l)):
+        owing = np.nonzero(need > 0)[0]
+        prefix = np.sort(rows[owing], axis=1).cumsum(axis=1)
+        totals.append(float(prefix[np.arange(owing.size),
+                                   need[owing] - 1].sum()))
+    return max(totals)
+
+
+def price_children(pricer, taken, i, j):
+    """(completion bound, branch edge) of the take and the forbid child of
+    edge (i, j) from the pricing kernel, bound inf and branch None where
+    the kernel prunes the child at an infinite cutoff.
+
+    Each child is priced with its committed cost at exactly zero, so its
+    bound is its completion bound alone: the take child from a parent
+    committed at minus the edge's gain.
+    """
+    flat = i * pricer.n + j
+    gain = pricer.res.sums.gain(i, j)
+    kids = (pricer.price(-gain, math.inf, taken, flat)[0],
+            pricer.price(0.0, math.inf, taken, flat)[1])
+    assert all(kid is None or kid[1] == 0.0 for kid in kids)
+    return [(math.inf, None) if kid is None else (kid[0], kid[2])
+            for kid in kids]
+
+
 class TestCompletionBound:
     def test_admissible_and_equal_to_per_node_pricing(self):
         # Random take/forbid walks on small two-sided instances, each
-        # until the counting check fails or no edge is open.  At each
-        # state the bound is infinite exactly where the reference check
-        # fails; elsewhere it equals per-node pricing, and committed
-        # cost plus the bound must not exceed the best completion, found
-        # by enumeration.
+        # until the counting check fails or no edge is open.  The empty
+        # state is priced as a batch of one, as the root is; at each
+        # state whose next edge is usable, both children of that edge
+        # are priced in one batch.  A priced state's bound is infinite
+        # exactly where the reference check fails on it; elsewhere it
+        # equals per-node pricing, the committed cost plus the bound
+        # does not exceed the best completion, found by enumeration, and
+        # the branch edge is the reference rule's.
         rng = np.random.default_rng(451)
-        checked = both_sides = totals_only = 0
+        seen = {"checked": 0, "both sides": 0, "totals only": 0}
+
+        def check(res, bound, branch):
+            usable = res.usable()
+            feasible = counting_feasible(res, usable)
+            assert math.isinf(bound) == (not feasible)
+            if not feasible:
+                assert best_completion(res) == np.inf
+                # only the side totals fail: each owing node still has
+                # as many usable edges as it owes
+                seen["totals only"] += bool(
+                    (res.l_lo - res.deg_l <= usable.sum(axis=1)).all()
+                    and (res.r_lo - res.deg_r <= usable.sum(axis=0)).all())
+                return
+            np.testing.assert_allclose(
+                bound, partition_bound(res, usable), rtol=1e-12, atol=0)
+            best = best_completion(res)
+            assert res.sums.cost + bound <= best + 1e-12 * max(1.0, best)
+            assert branch == reference_branch_edge(res, usable)
+            seen["checked"] += 1
+            owing_l, owing_r = res.owing()
+            seen["both sides"] += bool(owing_l.any() and owing_r.any())
+
         for _ in range(200):
             inst = random_instance(rng, max_m=4, max_n=4, max_cells=12,
                                    per_node=True)
             res = Residual(inst)
-            while True:
-                usable = res.usable()
-                bound = exact.completion_bound(res, usable)
-                feasible = counting_feasible(res, usable)
-                assert math.isinf(bound) == (not feasible)
-                if not feasible:
-                    assert best_completion(res) == np.inf
-                    # only the side totals fail: each owing node still
-                    # has as many usable edges as it owes
-                    totals_only += bool(
-                        (res.l_lo - res.deg_l <= usable.sum(axis=1)).all()
-                        and (res.r_lo - res.deg_r <= usable.sum(axis=0)).all())
+            pricer = exact._Pricer(res)
+            root = pricer.price(0.0, math.inf, 0)[0]
+            check(res, *((math.inf, None) if root is None
+                         else (root[0], root[2])))
+            taken = 0
+            while counting_feasible(res, res.usable()):
+                edges = np.argwhere(~res.closed)
+                if len(edges) == 0:
                     break
-                np.testing.assert_allclose(
-                    bound, partition_bound(res, usable), rtol=1e-12, atol=0)
-                best = best_completion(res)
-                assert res.sums.cost + bound <= best + 1e-12 * max(1.0, best)
-                checked += 1
-                owing_l, owing_r = res.owing()
-                both_sides += bool(owing_l.any() and owing_r.any())
-                open_edges = np.argwhere(~res.closed)
-                if len(open_edges) == 0:
-                    break
-                i, j = (int(v) for v in
-                        open_edges[rng.integers(len(open_edges))])
-                res.decide(i, j, bool(usable[i, j] and rng.random() < 0.6))
-        assert checked >= 500 and both_sides >= 100 and totals_only >= 10
+                i, j = (int(v) for v in edges[rng.integers(len(edges))])
+                usable_edge = bool(res.usable()[i, j])
+                # the search branches on usable edges only
+                if usable_edge:
+                    children = price_children(pricer, taken, i, j)
+                    for take, child in zip((True, False), children):
+                        res.decide(i, j, take)
+                        check(res, *child)
+                        res.undo(i, j, take)
+                take = usable_edge and rng.random() < 0.6
+                res.decide(i, j, take)
+                taken += take
+        assert seen["checked"] >= 500, seen
+        assert seen["both sides"] >= 100, seen
+        assert seen["totals only"] >= 10, seen
+
+    def test_bit_identical_sums_with_eight_owing_nodes_or_more(self):
+        # numpy's sum adds eight or more terms pairwise, so a side with
+        # that many owing nodes must not be added in plain node order:
+        # the bound must equal the one-sum-per-side reference bit for bit.
+        rng = np.random.default_rng(453)
+        wide = 0
+        for trial in range(40):
+            inst = gen_instance(GeneratorConfig(
+                m=10, n=9, k=3, l_lo=1, l_hi=9, r_lo=2, r_hi=10,
+                seed=(453, trial)))
+            res = Residual(inst)
+            pricer = exact._Pricer(res)
+            taken = 0
+            for _ in range(12):
+                edges = np.argwhere(res.usable())
+                i, j = (int(v) for v in edges[rng.integers(len(edges))])
+                children = price_children(pricer, taken, i, j)
+                for take, (bound, _) in zip((True, False), children):
+                    res.decide(i, j, take)
+                    assert bound == reference_completion(res, res.usable())
+                    owing_l, owing_r = res.owing()
+                    wide += max(owing_l.sum(), owing_r.sum()) >= 8
+                    res.undo(i, j, take)
+                take = bool(rng.random() < 0.5)
+                res.decide(i, j, take)
+                taken += take
+        assert wide >= 200
+
+
+# 8x6 instances shaped like the bnb-proof benchmark workload, seed
+# (4507, t), k = 3 + t % 2: the optimum's edges as flat i * 6 + j,
+# nodes expanded and pruned, and the lower bound, from the search as it
+# stood before pricing was batched per expansion.
+PINNED_SEARCHES = [
+    ((0, 6, 13, 14, 15, 19, 28, 29, 34, 35, 38, 39, 42), 82, 79,
+     0.4303474702629465),
+    ((0, 5, 6, 8, 13, 21, 22, 26, 31, 35, 39, 46), 130, 125,
+     0.40498442856860034),
+    ((2, 7, 12, 13, 16, 20, 27, 29, 33, 36, 41, 46), 158, 155,
+     0.5563623241565854),
+    ((1, 9, 17, 18, 19, 22, 23, 24, 26, 33, 38, 46), 92, 89,
+     0.6644368753725483),
+    ((4, 6, 8, 16, 18, 23, 25, 29, 31, 39, 44, 45), 92, 89,
+     1.2848723553866708),
+    ((1, 8, 11, 12, 20, 21, 22, 27, 28, 29, 30, 36, 43), 70, 69,
+     0.5815920378914733),
+    ((2, 7, 14, 15, 16, 18, 19, 21, 28, 35, 36, 47), 342, 337,
+     1.1533842886488104),
+    ((3, 8, 12, 22, 28, 30, 31, 32, 33, 35, 41, 43), 118, 115,
+     1.3565415766400837),
+    ((2, 9, 10, 17, 18, 24, 25, 26, 29, 31, 40, 45), 49, 48,
+     0.3946507657759296),
+    ((0, 2, 3, 7, 15, 23, 24, 34, 35, 38, 40, 43), 55, 54,
+     0.7192946787490777),
+    ((2, 4, 5, 6, 9, 17, 22, 25, 27, 32, 36, 43), 107, 102,
+     0.4211311137715015),
+    ((1, 4, 8, 17, 19, 21, 24, 33, 36, 38, 40, 47), 0, 1,
+     0.661178298104564),
+    ((4, 11, 16, 18, 27, 31, 32, 33, 36, 37, 38, 47), 60, 59,
+     0.7700308968474707),
+    ((0, 2, 4, 11, 16, 19, 20, 24, 27, 31, 41, 45), 47, 48,
+     0.7323745989142544),
+    ((5, 10, 13, 14, 22, 24, 30, 33, 35, 37, 44, 45), 112, 109,
+     0.4938416214029276),
+    ((1, 6, 11, 13, 20, 21, 26, 34, 36, 39, 40, 47), 58, 57,
+     0.366840484377799),
+]
+
+
+class TestPinnedSearch:
+    # Pricing must not change the search: the same nodes are expanded
+    # and pruned in the same order, so every counter and the bound read
+    # off the stack match to the last bit.
+    @pytest.mark.parametrize("trial", range(len(PINNED_SEARCHES)))
+    def test_counters_match_the_recorded_search(self, trial):
+        edges, expanded, pruned, lower_bound = PINNED_SEARCHES[trial]
+        inst = gen_instance(GeneratorConfig(
+            m=8, n=6, k=3 + trial % 2, l_lo=1, l_hi=6, r_lo=2, r_hi=8,
+            seed=(4507, trial)))
+        rep = solve_diverse_exact(inst)
+        assert rep.status == OPTIMAL
+        assert tuple(i * 6 + j for i, j in rep.matching.edges) == edges
+        assert rep.telemetry["expanded"] == expanded
+        assert rep.telemetry["pruned"] == pruned
+        assert rep.telemetry["lower_bound"] == lower_bound
+
+    def test_counter_totals_where_side_totals_bind(self):
+        # Per-node bounds, where the counting check's side totals prune
+        # too; totals over the searched instances, recorded likewise.
+        rng = np.random.default_rng(462)
+        searched = expanded = pruned = 0
+        for _ in range(300):
+            inst = random_instance(rng, max_m=5, max_n=5, max_cells=20,
+                                   per_node=True)
+            rep = solve_diverse_exact(inst)
+            if rep.status == INFEASIBLE or rep.telemetry["fast_path"]:
+                continue
+            searched += 1
+            expanded += rep.telemetry["expanded"]
+            pruned += rep.telemetry["pruned"]
+        assert (searched, expanded, pruned) == (189, 1771, 1830)
+
+
+class TestPeakDepth:
+    def test_bounds_the_path_to_every_incumbent(self):
+        # A search incumbent is a leaf whose path took each of its edges
+        # by one decision, so the deepest path is at least that long; no
+        # path decides an edge twice.
+        rng = np.random.default_rng(461)
+        from_search = 0
+        for _ in range(60):
+            inst = random_instance(rng, max_m=5, max_n=5, max_cells=20)
+            rep = solve_diverse_exact(inst)
+            if rep.status == INFEASIBLE:
+                continue
+            depth = rep.telemetry["peak_depth"]
+            assert 0 <= depth <= inst.m * inst.n
+            if rep.telemetry["fast_path"]:
+                assert depth == 0
+            elif len(rep.telemetry["incumbent_updates"]) > 1:
+                assert depth >= len(rep.matching)
+                from_search += 1
+        assert from_search >= 5
+
+    def test_root_only_search_has_depth_zero(self):
+        # The pinned trial whose root is pruned expands nothing.
+        inst = gen_instance(GeneratorConfig(
+            m=8, n=6, k=4, l_lo=1, l_hi=6, r_lo=2, r_hi=8, seed=(4507, 11)))
+        rep = solve_diverse_exact(inst)
+        assert rep.telemetry["expanded"] == 0
+        assert rep.telemetry["peak_depth"] == 0
 
 
 def grouped_sums(inst, mask):

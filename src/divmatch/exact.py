@@ -223,15 +223,7 @@ class _Pricer:
         debt, segment = need[owing], self.segment[:size][owing]
         cheapest = self.prefix[self.base[:size][owing] + debt - 1]
         owed = np.bincount(segment, debt, 2 * size).tolist()
-        sums = np.bincount(segment, cheapest, 2 * size)
-        # bincount adds each side's terms in node order, as a numpy sum
-        # does below eight terms; from eight on numpy adds pairwise, so
-        # such a side is summed as the bound has always summed it
-        counts = np.bincount(segment, minlength=2 * size).tolist()
-        for k, count in enumerate(counts):
-            if count >= 8:
-                sums[k] = cheapest[segment == k].sum()
-        sums = sums.tolist()
+        sums = np.bincount(segment, cheapest, 2 * size).tolist()  # node order
 
         pools = self.pools[:size]
         np.logical_and(usable, owing[:, None, :n], out=pools[:, 0])
@@ -268,7 +260,7 @@ def _branch_and_bound(inst: Instance, start: float,
     incumbent = warm_start(inst)
     if incumbent is None:
         raise InternalError("feasibility pre-check passed but no warm start")
-    best_value = diversity_cost(inst, incumbent)
+    best_value = tracked = diversity_cost(inst, incumbent)
     cutoff = best_value - PRUNE_TOL * best_value
     updates = [(time.perf_counter() - start, best_value)]
 
@@ -305,11 +297,12 @@ def _branch_and_bound(inst: Instance, start: float,
         peak_depth = max(peak_depth, depth)
 
         if flat == -1:
-            # all lower bounds met: the committed set is a full candidate
+            # all lower bounds met: the committed set is a full candidate,
+            # accepted on its fresh cost; its incremental one is tracked
             match = res.matching()
             value = diversity_cost(inst, match)
             if value < cutoff:
-                best_value = value
+                best_value, tracked = value, committed
                 cutoff = best_value - PRUNE_TOL * best_value
                 incumbent = match
                 updates.append((time.perf_counter() - start, value))
@@ -329,7 +322,7 @@ def _branch_and_bound(inst: Instance, start: float,
         stack.extend(children)
 
     lower_bound = min([cutoff] + [node[0] for node in stack])
-    return incumbent, best_value, lower_bound, timed_out, {
+    return incumbent, tracked, lower_bound, timed_out, {
         "fast_path": False, "expanded": expanded, "pruned": pruned,
         "peak_depth": peak_depth, "incumbent_updates": updates}
 

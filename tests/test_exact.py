@@ -337,9 +337,9 @@ def reference_branch_edge(res, usable):
 
 
 def reference_completion(res, usable):
-    """The completion bound as one numpy sum per side: each owing node's
-    row (left) or column (right) of masked gains sorted and cumsummed,
-    its need-th prefix taken; inf where a side total fails."""
+    """The completion bound, each side's terms added in node order: each
+    owing node's row (left) or column (right) of masked gains sorted and
+    cumsummed, its need-th prefix taken; inf where a side total fails."""
     need_l, need_r = res.l_lo - res.deg_l, res.r_lo - res.deg_r
     if (np.maximum(need_l, 0).sum() > (res.r_hi - res.deg_r).sum()
             or np.maximum(need_r, 0).sum() > (res.l_hi - res.deg_l).sum()):
@@ -351,8 +351,8 @@ def reference_completion(res, usable):
     for rows, need in ((gains.T, need_r), (gains, need_l)):
         owing = np.nonzero(need > 0)[0]
         prefix = np.sort(rows[owing], axis=1).cumsum(axis=1)
-        totals.append(float(prefix[np.arange(owing.size),
-                                   need[owing] - 1].sum()))
+        totals.append(sum(prefix[np.arange(owing.size),
+                                 need[owing] - 1].tolist()))
     return max(totals)
 
 
@@ -439,9 +439,9 @@ class TestCompletionBound:
         assert seen["totals only"] >= 10, seen
 
     def test_bit_identical_sums_with_eight_owing_nodes_or_more(self):
-        # numpy's sum adds eight or more terms pairwise, so a side with
-        # that many owing nodes must not be added in plain node order:
-        # the bound must equal the one-sum-per-side reference bit for bit.
+        # A numpy sum adds eight or more terms pairwise, so sides with
+        # that many owing nodes tell node order from any other order: the
+        # bound must equal the node-order reference bit for bit.
         rng = np.random.default_rng(453)
         wide = 0
         for trial in range(40):
@@ -539,6 +539,19 @@ class TestPinnedSearch:
             expanded += rep.telemetry["expanded"]
             pruned += rep.telemetry["pruned"]
         assert (searched, expanded, pruned) == (189, 1771, 1830)
+
+    def test_drifting_tracked_cost_raises(self, monkeypatch):
+        # The search tracks an accepted leaf's cost by adding gains along
+        # its path; a gain off by a relative 1e-6 must trip the drift
+        # check against the fresh cost.  Trial 0's search improves on its
+        # warm start, so a leaf is accepted.
+        gain = ClusterSums.gain
+        monkeypatch.setattr(ClusterSums, "gain",
+                            lambda self, i, j: gain(self, i, j) * (1 + 1e-6))
+        inst = gen_instance(GeneratorConfig(
+            m=8, n=6, k=3, l_lo=1, l_hi=6, r_lo=2, r_hi=8, seed=(4507, 0)))
+        with pytest.raises(InternalError, match="drifted"):
+            solve_diverse_exact(inst)
 
 
 class TestPeakDepth:

@@ -16,6 +16,7 @@ from divmatch import (
     gen_instance,
     is_feasible_bounds,
     reduce_to_circulation,
+    solve_circulation,
     solve_min_weight,
     total_weight,
 )
@@ -164,6 +165,69 @@ class TestWarmStart:
             ok, violations = check_matching(tied, rep.matching)
             assert ok, violations
         assert sides == {"left", "right", None}
+
+
+class TestArcStructure:
+    # The documented arc order: supplies by left node, edges in (left,
+    # right) order, demands by right node, the bypass, s->tt, ss->t,
+    # then the requirement arcs ss->left and right->tt by node id, each
+    # requirement arc only where its bound is positive.
+
+    @staticmethod
+    def reference_arcs(inst):
+        """(tail, head, forward cost, capacity) of every forward arc."""
+        m, n, b = inst.m, inst.n, inst.bounds
+        s, t, left0, right0 = 0, 1, 2, 2 + m
+        ss, tt = 2 + m + n, 3 + m + n
+        arcs = [(s, left0 + i, 0.0, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
+        arcs += [(left0 + i, right0 + j, float(inst.weights[i, j]), 1)
+                 for i in range(m) for j in range(n)]
+        arcs += [(right0 + j, t, 0.0, b.r_hi[j] - b.r_lo[j])
+                 for j in range(n)]
+        arcs.append((t, s, 0.0, min(sum(b.l_hi), sum(b.r_hi))))
+        if sum(b.l_lo) > 0:
+            arcs.append((s, tt, 0.0, sum(b.l_lo)))
+        if sum(b.r_lo) > 0:
+            arcs.append((ss, t, 0.0, sum(b.r_lo)))
+        arcs += [(ss, left0 + i, 0.0, lo) for i, lo in enumerate(b.l_lo)
+                 if lo > 0]
+        arcs += [(right0 + j, tt, 0.0, lo) for j, lo in enumerate(b.r_lo)
+                 if lo > 0]
+        return arcs
+
+    @staticmethod
+    def built_arcs(g):
+        return [(g.to[a + 1], g.to[a], g.cost[a], g.cap[a] + g.cap[a + 1])
+                for a in range(0, len(g.to), 2)]
+
+    def test_lowering_follows_the_documented_order(self):
+        rng = np.random.default_rng(241)
+        zero_lo = 0
+        for trial in range(60):
+            inst = random_instance(rng, max_m=6, max_n=6, max_cells=36,
+                                   per_node=True)
+            if trial % 4 == 0:
+                b = inst.bounds
+                inst = Instance(inst.weights, inst.clusters, inst.k,
+                                DegreeBounds.broadcast(inst.m, inst.n, 0,
+                                                       b.l_hi, 0, b.r_hi))
+            zero_lo += not any(inst.bounds.l_lo) and not any(inst.bounds.r_lo)
+            net = reduce_to_circulation(inst)
+            g = net.graph
+            expected = self.reference_arcs(inst)
+            assert self.built_arcs(g) == expected
+            assert all(g.cost[a + 1] == -g.cost[a]
+                       for a in range(0, len(g.to), 2))
+            assert all(arcs == sorted(arcs) for arcs in g.adj)
+            first = 2 * inst.m
+            assert [list(row) for row in net.edge_arcs] == [
+                list(range(first + 2 * inst.n * i,
+                           first + 2 * inst.n * (i + 1), 2))
+                for i in range(inst.m)]
+            if is_feasible_bounds(inst)[0]:
+                solve_circulation(net)
+                assert self.built_arcs(g) == expected
+        assert zero_lo >= 15
 
 
 class TestLinprog:

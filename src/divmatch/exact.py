@@ -366,7 +366,12 @@ def solve_diverse_exact(inst: Instance,
         raise InternalError("exact solver incumbent violates bounds: "
                             + "; ".join(violations))
     value = diversity_cost(inst, incumbent)
-    if abs(value - tracked) > 1e-9 * max(value, tracked):
+    # the tracked cost adds gains read off sums that heavy edges have
+    # passed through, so its rounding scales with the cost of selecting
+    # every edge, not with the incumbent's own cost
+    full = np.zeros((inst.k, inst.n))
+    np.add.at(full, inst.clusters, inst.weights)
+    if abs(value - tracked) > 1e-9 * float((full * full).sum()):
         raise InternalError(
             f"incumbent value drifted: tracked {tracked}, actual {value}")
     if lower_bound is None:  # the dynamic program's answer is the optimum

@@ -1,6 +1,8 @@
 """Tests for the exact diverse solver: fast path, branch and bound, budgets."""
 
+import functools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -339,7 +341,9 @@ def reference_branch_edge(res, usable):
 def reference_completion(res, usable):
     """The completion bound, each side's terms added in node order: each
     owing node's row (left) or column (right) of masked gains sorted and
-    cumsummed, its need-th prefix taken; inf where a side total fails."""
+    cumsummed, its need-th prefix taken; inf where a side total fails.
+    Each side is a plain left-to-right fold, not sum(), which compensates
+    its float additions from Python 3.12 on."""
     need_l, need_r = res.l_lo - res.deg_l, res.r_lo - res.deg_r
     if (np.maximum(need_l, 0).sum() > (res.r_hi - res.deg_r).sum()
             or np.maximum(need_r, 0).sum() > (res.l_hi - res.deg_l).sum()):
@@ -351,8 +355,9 @@ def reference_completion(res, usable):
     for rows, need in ((gains.T, need_r), (gains, need_l)):
         owing = np.nonzero(need > 0)[0]
         prefix = np.sort(rows[owing], axis=1).cumsum(axis=1)
-        totals.append(sum(prefix[np.arange(owing.size),
-                                 need[owing] - 1].tolist()))
+        totals.append(functools.reduce(
+            operator.add, prefix[np.arange(owing.size),
+                                 need[owing] - 1].tolist(), 0.0))
     return max(totals)
 
 
@@ -552,6 +557,25 @@ class TestPinnedSearch:
             m=8, n=6, k=3, l_lo=1, l_hi=6, r_lo=2, r_hi=8, seed=(4507, 0)))
         with pytest.raises(InternalError, match="drifted"):
             solve_diverse_exact(inst)
+
+    def test_mixed_scale_weights_in_one_cluster_solve(self):
+        # Heavy edges share a right node and cluster with light ones.  The
+        # search takes and undoes two of them at right node 2, cluster 0,
+        # whose sum 230000000.1 + 1.5e8 rounds, so the sum keeps a residue
+        # of about 3e-8.  The light leaf it then accepts reads that sum,
+        # and its tracked cost is off by a relative 1.5e-6: the drift
+        # check must scale with the weights, not with the leaf's cost.
+        weights = np.array([[3e-3, 5e-3, 230000000.1],
+                            [8e-3, 4e-3, 10e-3],
+                            [2e-3, 4e8, 10e-3],
+                            [9e-3, 9e-3, 1.5e8],
+                            [2e-3, 10e-3, 9e8]])
+        bounds = DegreeBounds.broadcast(5, 3, 1, 1, [0, 1, 0], [1, 2, 2])
+        inst = Instance(weights, np.array([0, 0, 1, 0, 1]), 2, bounds)
+        rep = solve_diverse_exact(inst)
+        assert rep.status == OPTIMAL
+        assert not rep.telemetry["fast_path"]
+        assert rep.diversity_cost < 1e-3
 
 
 class TestPeakDepth:

@@ -66,7 +66,8 @@ class Residual:
 
     def matching(self) -> Matching:
         """The taken edges."""
-        return Matching(np.argwhere(self.taken).tolist())
+        rows, cols = np.nonzero(self.taken)
+        return Matching._trusted(zip(rows.tolist(), cols.tolist()))
 
     def owing(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the left and right nodes below their lower bounds."""

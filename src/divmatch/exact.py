@@ -128,7 +128,7 @@ def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
         sel = rank[:, None] < take
         edges += zip(lefts[c][sel].tolist(), np.nonzero(sel)[1].tolist())
         t = t - take
-    return Matching(edges), sum(best.tolist())
+    return Matching._trusted(edges), sum(best.tolist())
 
 
 class _Pricer:

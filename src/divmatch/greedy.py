@@ -18,9 +18,10 @@ infeasible naming the stuck node rather than backtracking.
 
 When no left bound binds (Instance.right_only), right nodes never
 compete for left capacity, so solve_diverse_greedy picks each right
-node's edges on its own with one vectorized gain per step.  That path
-selects the same edges, in the same tie-break order, with the same
-number of gain evaluations as the round-based one.
+node's edges on its own, in take rounds: round t prices every right
+node that still owes an edge in one numpy step, one gains column per
+node.  That path selects the same edges, in the same tie-break order,
+with the same number of gain evaluations as the round-based one.
 
 The result carries no optimality proof: status is feasible_incumbent.
 """
@@ -93,23 +94,26 @@ def _per_right_node(inst: Instance) -> tuple[Matching, int]:
     """Greedy for right_only instances: (matching, gain evaluations).
 
     Each right node takes its lower bound's worth of edges, cheapest
-    marginal gain first, ties to the lowest left index.
+    marginal gain first, ties to the lowest left index.  Take round t
+    prices every right node with r_lo > t at once: a column's argmin in
+    the gains matrix is that node's pick.  A taken cell's squared weight
+    is set to infinity, so its gain is too.
     """
-    clusters = inst.clusters
-    edges = []
+    w, clusters = inst.weights, inst.clusters
+    r_lo = np.array(inst.bounds.r_lo)
+    square, double = w * w, 2.0 * w
+    sums = np.zeros((inst.k, inst.n))
+    rows, cols = [], []
     gain_evaluations = 0
-    for j in range(inst.n):
-        col = inst.weights[:, j]
-        sums_c = np.zeros(inst.k, dtype=np.float64)
-        taken = np.zeros(inst.m, dtype=bool)
-        for _ in range(inst.bounds.r_lo[j]):
-            gains = np.where(taken, math.inf, col * col + (2.0 * col) * sums_c[clusters])
-            gain_evaluations += int((~taken).sum())
-            i = int(np.argmin(gains))
-            taken[i] = True
-            sums_c[clusters[i]] += col[i]
-            edges.append((i, j))
-    return Matching(edges), gain_evaluations
+    for t in range(int(r_lo.max(initial=0))):
+        active = np.flatnonzero(r_lo > t)
+        picks = (square + double * sums[clusters]).argmin(axis=0)[active]
+        square[picks, active] = math.inf
+        sums[clusters[picks], active] += w[picks, active]
+        gain_evaluations += (inst.m - t) * active.size
+        rows += picks.tolist()
+        cols += active.tolist()
+    return Matching._trusted(zip(rows, cols)), gain_evaluations
 
 
 def solve_diverse_greedy(inst: Instance) -> SolveReport:

@@ -239,6 +239,15 @@ class Matching:
                 raise MatchingError(f"duplicate edge {a}")
         object.__setattr__(self, "_edges", tuple(pairs))
 
+    @classmethod
+    def _trusted(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
+        """Matching of edges a solver built itself: unique pairs of
+        nonnegative Python ints.  Only sorts them; check_matching still
+        validates every solver's output against its instance."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_edges", tuple(sorted(pairs)))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Matching is immutable")
 

@@ -6,9 +6,9 @@ candidate edge is a unit-capacity arc priced at its weight, right nodes
 drain to a sink within their intervals, and a free sink-to-source bypass
 lets the edge count float.  reduce_to_circulation removes the lower
 bounds by the standard surplus transformation (a super source and super
-sink carry each bound as a requirement arc) and returns the residual
-graph, on which successive shortest paths find the minimum-weight
-circulation.  Its constraint system is totally unimodular, so the
+sink carry each bound as a requirement arc) and returns the lowered
+circulation, on whose residual graph successive shortest paths find the
+minimum-weight circulation.  Its constraint system is totally unimodular, so the
 fractional optimum is integral and the edge arcs carrying flow form an
 optimal matching.  Feasibility needs no flow: on the complete bipartite
 graph instance.is_feasible_bounds decides it by counting.
@@ -36,6 +36,11 @@ is returned among several of the same weight is fixed by the arc order
 and the warm start.  On right_only instances the warm start routes
 everything: each right node takes its lightest left nodes, lowest index
 first.
+
+The warm start is chosen before any arc is built, and the residual
+graph is built on first access (FlowNetwork.graph).  When the warm
+start leaves nothing to route (need 0) its flow is optimal as it
+stands, so solve_circulation returns its picks and builds no graph.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -159,26 +165,15 @@ class Graph:
         return flow, augmentations
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    """The lowered circulation of one instance, ready for one solve.
+class _Warm(NamedTuple):
+    """A warm start: each taker node takes its lightest edges to fed
+    nodes (see the module docstring)."""
 
-    Node layout: 0 = source, 1 = sink, 2..2+m-1 = left nodes,
-    2+m..2+m+n-1 = right nodes, then the super source and super sink.
-    need is the number of units still to route from the super source to
-    the super sink after the warm start; all lower bounds are met when
-    they arrive.  warm_side is "right" or "left" for the side whose
-    lower bounds the warm start met, None when it routed nothing.
-    edge_arcs[i][j] is the arc of edge (i, j).  A solve leaves its flow
-    in the graph, so each network serves one solve.
-    """
-
-    graph: Graph = field(repr=False)
-    source: int
-    sink: int
-    need: int
-    edge_arcs: tuple[range, ...] = field(repr=False)
-    warm_side: Optional[str] = None
+    side: str  # the taker side
+    short: int  # units the fed side's lower bounds still lack
+    edges: list[tuple[int, int]]  # the picks, as (left, right) pairs
+    deg: list[int]  # picks per fed node
+    theta: np.ndarray  # per taker node, the heaviest weight it took
 
 
 def _lightest(w: np.ndarray, lo: np.ndarray):
@@ -198,8 +193,35 @@ def _lightest(w: np.ndarray, lo: np.ndarray):
     return rows, cols, np.bincount(rows, minlength=m), theta
 
 
-def reduce_to_circulation(inst: Instance) -> FlowNetwork:
-    """Lower the degree bounds of inst into one warm-started residual graph."""
+def _warm_start(inst: Instance) -> Optional[_Warm]:
+    """The usable side that leaves fewer units unrouted, the right side
+    on a tie, or None when neither side is usable."""
+    b = inst.bounds
+    lo = {"right": b.r_lo, "left": b.l_lo}
+    hi = {"right": b.r_hi, "left": b.l_hi}
+    weights = {"right": inst.weights, "left": inst.weights.T}
+    best = None
+    for side, other in (("right", "left"), ("left", "right")):
+        if not any(lo[side]):
+            continue
+        fed_ids, taker_ids, deg, theta = _lightest(weights[side],
+                                                   np.array(lo[side]))
+        if np.any(deg > hi[other]):
+            continue
+        short = int(np.maximum(np.array(lo[other]) - deg, 0).sum())
+        if best is None or short < best.short:
+            left, right = ((fed_ids, taker_ids) if side == "right"
+                           else (taker_ids, fed_ids))
+            best = _Warm(side, short, list(zip(left.tolist(), right.tolist())),
+                         deg.tolist(), theta)
+        if short == 0:
+            break
+    return best
+
+
+def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
+    """The residual graph of inst in the documented arc order, carrying
+    warm's flow and potentials."""
     m, n = inst.m, inst.n
     b = inst.bounds
     s, t = 0, 1
@@ -211,8 +233,6 @@ def reduce_to_circulation(inst: Instance) -> FlowNetwork:
     for u, row in enumerate(inst.weights.tolist(), left0):
         for v, w in enumerate(row, right0):
             g.add(u, v, 1, w)
-    edge_arcs = tuple(range(first + 2 * n * i, first + 2 * n * (i + 1), 2)
-                      for i in range(m))
     demand = [g.add(right0 + j, t, b.r_hi[j] - b.r_lo[j]) for j in range(n)]
     bypass = g.add(t, s, min(sum(b.l_hi), sum(b.r_hi)))
 
@@ -223,52 +243,33 @@ def reduce_to_circulation(inst: Instance) -> FlowNetwork:
                for i, lo in enumerate(b.l_lo)]
     right_tt = [g.add(right0 + j, tt, lo) if lo > 0 else -1
                 for j, lo in enumerate(b.r_lo)]
+    if warm is None:
+        return g
 
-    # Warm start (see the module docstring), driven by one table per
-    # side.  The taker side meets its lower bounds with its lightest
-    # edges: its weights have one column per taker node, and step is
-    # what one of its nodes adds to edge (i, j)'s arc id, first + 2 *
-    # (i * n + j).  A fed node on the other side carries its picks on
-    # its requirement arc up to its lower bound and the rest on its free
-    # (supply or demand) arc.  The bypass and the taker's detour arc
-    # carry the taker's whole bound, and the fed side's detour arc what
-    # the picks met of its own.
+    # The warm start, driven by one table per side.  A fed node carries
+    # its picks on its requirement arc up to its lower bound and the rest
+    # on its free (supply or demand) arc.  The bypass and the taker's
+    # detour arc carry the taker's whole bound, and the fed side's detour
+    # arc what the picks met of its own.
     sides = {
-        "right": SimpleNamespace(
-            lo=b.r_lo, hi=b.r_hi, node0=right0, sign=1.0, step=2,
-            weights=inst.weights, total=total_r, free=demand, detour=ss_t,
-            req=right_tt),
-        "left": SimpleNamespace(
-            lo=b.l_lo, hi=b.l_hi, node0=left0, sign=-1.0, step=2 * n,
-            weights=inst.weights.T, total=total_l, free=supply,
-            detour=s_tt, req=ss_left),
+        "right": SimpleNamespace(lo=b.r_lo, node0=right0, sign=1.0,
+                                 total=total_r, free=demand, detour=ss_t,
+                                 req=right_tt),
+        "left": SimpleNamespace(lo=b.l_lo, node0=left0, sign=-1.0,
+                                total=total_l, free=supply, detour=s_tt,
+                                req=ss_left),
     }
-    best = None
-    for side, other in (("right", "left"), ("left", "right")):
-        taker, fed = sides[side], sides[other]
-        if taker.total == 0:
-            continue
-        fed_ids, taker_ids, deg, theta = _lightest(taker.weights,
-                                                   np.array(taker.lo))
-        if np.any(deg > fed.hi):
-            continue
-        short = int(np.maximum(np.array(fed.lo) - deg, 0).sum())
-        if best is None or short < best[1]:
-            best = (side, short, taker, fed, fed_ids, taker_ids, deg, theta)
-        if short == 0:
-            break
-    if best is None:
-        return FlowNetwork(g, ss, tt, total_l + total_r, edge_arcs)
-
-    side, short, taker, fed, fed_ids, taker_ids, deg, theta = best
-    for fi, ti in zip(fed_ids.tolist(), taker_ids.tolist()):
-        g.push(first + fed.step * fi + taker.step * ti, 1)
-    g.pot[taker.node0:taker.node0 + theta.size] = (taker.sign * theta).tolist()
+    taker = sides[warm.side]
+    fed = sides["left" if warm.side == "right" else "right"]
+    for i, j in warm.edges:
+        g.push(first + 2 * (i * n + j), 1)
+    g.pot[taker.node0:taker.node0 + warm.theta.size] = (
+        taker.sign * warm.theta).tolist()
     for node, lo in enumerate(taker.lo):
         if lo > 0:
             g.push(taker.req[node], lo)
     met = 0
-    for node, (d, lo) in enumerate(zip(deg.tolist(), fed.lo)):
+    for node, (d, lo) in enumerate(zip(warm.deg, fed.lo)):
         if lo > 0:
             g.push(fed.req[node], min(d, lo))
             met += min(d, lo)
@@ -278,7 +279,51 @@ def reduce_to_circulation(inst: Instance) -> FlowNetwork:
     g.push(taker.detour, taker.total)
     if met:
         g.push(fed.detour, met)
-    return FlowNetwork(g, ss, tt, short, edge_arcs, side)
+    return g
+
+
+@dataclass(frozen=True)
+class FlowNetwork:
+    """The lowered circulation of one instance, ready for one solve.
+
+    Node layout: 0 = source, 1 = sink, 2..2+m-1 = left nodes,
+    2+m..2+m+n-1 = right nodes, then the super source and super sink.
+    need is the number of units still to route from the super source to
+    the super sink after the warm start; all lower bounds are met when
+    they arrive.  warm_side is "right" or "left" for the side whose
+    lower bounds the warm start met, None when it routed nothing.
+    edge_arcs[i][j] is the arc of edge (i, j).  graph, the residual
+    graph with the warm start's flow, is built on first access; a solve
+    with need 0 reads the warm start's picks and builds none.  A solve
+    leaves its flow in the graph, so each network serves one solve.
+    """
+
+    inst: Instance = field(repr=False)
+    source: int
+    sink: int
+    need: int
+    edge_arcs: tuple[range, ...] = field(repr=False)
+    warm: Optional[_Warm] = field(default=None, repr=False)
+
+    @property
+    def warm_side(self) -> Optional[str]:
+        return None if self.warm is None else self.warm.side
+
+    @cached_property
+    def graph(self) -> Graph:
+        return _lower(self.inst, self.warm)
+
+
+def reduce_to_circulation(inst: Instance) -> FlowNetwork:
+    """Lower the degree bounds of inst into one warm-started circulation."""
+    m, n = inst.m, inst.n
+    # edge arcs follow the m supply arcs
+    edge_arcs = tuple(range(2 * m + 2 * n * i, 2 * m + 2 * n * (i + 1), 2)
+                      for i in range(m))
+    warm = _warm_start(inst)
+    b = inst.bounds
+    need = sum(b.l_lo) + sum(b.r_lo) if warm is None else warm.short
+    return FlowNetwork(inst, 2 + m + n, 3 + m + n, need, edge_arcs, warm)
 
 
 def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
@@ -286,10 +331,14 @@ def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
 
     Returns (matching of the edge arcs that carry flow, augmentation
     count).  The count is the shortest-path augmentations plus 1 when
-    the warm start routed flow.  Raises InternalError if the lower
-    bounds cannot be met; callers are expected to have run
-    is_feasible_bounds first.
+    the warm start routed flow.  With need 0 the warm start's flow is
+    already optimal, so its picks are the answer and no graph is built.
+    Raises InternalError if the lower bounds cannot be met; callers are
+    expected to have run is_feasible_bounds first.
     """
+    if net.need == 0:
+        picks = [] if net.warm is None else net.warm.edges
+        return Matching._trusted(picks), int(net.warm is not None)
     g = net.graph
     sent, augmentations = g.min_cost_flow(net.source, net.sink)
     if sent != net.need:
@@ -299,7 +348,7 @@ def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
     edges = [(i, j) for i, row in enumerate(net.edge_arcs)
              for j, flow in enumerate(g.cap[row.start + 1:row.stop:2])
              if flow]
-    return Matching(edges), augmentations + (net.warm_side is not None)
+    return Matching._trusted(edges), augmentations + (net.warm_side is not None)
 
 
 def solve_min_weight(inst: Instance) -> SolveReport:

@@ -1,5 +1,7 @@
 """Tests for instance generation and the benchmark sweeps."""
 
+import hashlib
+import json
 import time
 from dataclasses import replace
 
@@ -15,7 +17,9 @@ from divmatch import (
     run_scaling,
     save_instance,
     scaling_csv,
+    solve_diverse_exact,
     solve_diverse_greedy,
+    solve_min_weight,
 )
 
 
@@ -65,6 +69,10 @@ class TestGenerator:
                 gen_instance(GeneratorConfig(m=2, n=2, k=1, seed=seed))
 
 
+FIG2_SEED7_DIGEST = (
+    "b064103a1c81b474837a9888ac3fa437e24f508efe75934546e81e2872cfb461")
+
+
 class TestClusterSweep:
     def test_reproducible_modulo_wall_time(self):
         kwargs = dict(k_values=(2, 3), trials=5, m=6, n=6, r_lo=3, seed=13)
@@ -98,6 +106,24 @@ class TestClusterSweep:
         assert rate(1.3e-12, 1.0e-12) == 0.0
         assert rate(1e6 * (1 + 1e-14), 1e6) == 1.0
         assert rate(0.0, 0.0) == 1.0
+
+    def test_seed7_answers_are_pinned(self):
+        # The 180 instances of run_cluster_sweep(trials=20) at its default
+        # seed 7: every solver's status and edges, hashed.  The fig2
+        # sweep's metrics are floats that a libm change can move; its
+        # answers are not.
+        answers = []
+        for k in range(2, 11):
+            for trial in range(20):
+                inst = gen_instance(GeneratorConfig(
+                    m=10, n=10, k=k, l_lo=0, l_hi=10, r_lo=5,
+                    seed=(7, k, trial)))
+                for solve in (solve_min_weight, solve_diverse_exact,
+                              solve_diverse_greedy):
+                    rep = solve(inst)
+                    answers.append([rep.status, rep.matching.edges])
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert digest == FIG2_SEED7_DIGEST
 
     def test_trials_csv_has_expected_shape(self):
         batch = run_cluster_sweep(k_values=(2,), trials=4, m=5, n=5,

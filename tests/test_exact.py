@@ -281,6 +281,20 @@ class TestCertifiedBound:
         assert 0.0 < rep.telemetry["lower_bound"] <= optimum
         assert rep.telemetry["gap"] < 1.0
 
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_bound_is_below_every_cost_found_at_scale(self, seed):
+        # run_scaling's shapes are past the oracle's reach, so the bound
+        # is checked against every feasible cost the solvers find there.
+        for m, n in ((25, 10), (50, 10), (100, 10), (200, 10), (200, 100)):
+            inst = gen_instance(GeneratorConfig(m=m, n=n, k=5, l_lo=1,
+                                                l_hi=n, r_lo=3, r_hi=m,
+                                                seed=(seed, m)))
+            rep = solve_diverse_exact(inst, budget_ms=100)
+            bound = rep.telemetry["lower_bound"]
+            assert bound <= rep.diversity_cost, (m, n)
+            assert bound <= solve_diverse_greedy(inst).diversity_cost, (m, n)
+            assert bound <= solve_min_weight(inst).diversity_cost, (m, n)
+
 
 def partition_bound(res, usable):
     """The completion bound priced one owing node at a time."""

@@ -13,6 +13,7 @@ from divmatch import (
     GeneratorConfig,
     INFEASIBLE,
     Instance,
+    Matching,
     OBJECTIVE_DIVERSITY,
     brute_force,
     check_matching,
@@ -134,7 +135,54 @@ class TestDeterminismAndOrder:
                 assert a.matching.edges == b.matching.edges
 
 
+def _reference_per_right_node(inst):
+    """The per-column loop that _per_right_node's take rounds replaced:
+    each right node in turn, one take at a time."""
+    clusters = inst.clusters
+    edges = []
+    gain_evaluations = 0
+    for j in range(inst.n):
+        col = inst.weights[:, j]
+        sums_c = np.zeros(inst.k, dtype=np.float64)
+        taken = np.zeros(inst.m, dtype=bool)
+        for _ in range(inst.bounds.r_lo[j]):
+            gains = np.where(taken, math.inf,
+                             col * col + (2.0 * col) * sums_c[clusters])
+            gain_evaluations += int((~taken).sum())
+            i = int(np.argmin(gains))
+            taken[i] = True
+            sums_c[clusters[i]] += col[i]
+            edges.append((i, j))
+    return Matching(edges), gain_evaluations
+
+
 class TestFastPath:
+    def test_matches_per_column_loop(self):
+        # Half the draws have half-integer weights in [0, 2), which tie
+        # often, so the lowest-left-index tie rule decides edges.
+        rng = np.random.default_rng(333)
+        seen = {"tied": 0, "r_lo = 0 column": 0, "r_lo = m column": 0}
+        for trial in range(320):
+            m, n = int(rng.integers(1, 11)), int(rng.integers(1, 11))
+            k = int(rng.integers(1, m + 1))
+            clusters = rng.permutation(
+                np.concatenate((np.arange(k), rng.integers(0, k, m - k))))
+            weights = rng.random((m, n))
+            if trial % 2:
+                weights = np.floor(4 * weights) / 2
+            r_lo = rng.integers(0, m + 1, n)
+            bounds = DegreeBounds.broadcast(m, n, 0, n, r_lo, m)
+            inst = Instance(weights, clusters, k, bounds)
+            assert inst.right_only
+            got = greedy._per_right_node(inst)
+            ref = _reference_per_right_node(inst)
+            assert got[0].edges == ref[0].edges, trial
+            assert got[1] == ref[1], trial
+            seen["tied"] += trial % 2
+            seen["r_lo = 0 column"] += bool(np.any(r_lo == 0))
+            seen["r_lo = m column"] += bool(np.any(r_lo == m))
+        assert min(seen.values()) >= 100, seen
+
     def test_matches_general_greedy_bit_for_bit(self):
         rng = np.random.default_rng(331)
         for _ in range(200):

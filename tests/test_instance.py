@@ -165,6 +165,28 @@ class TestMatching:
             with pytest.raises(MatchingError, match="must be integers"):
                 Matching([(bad, 0)])
 
+    def test_solver_built_matchings_equal_checked_ones(self):
+        # Solvers build their matchings with the unchecked constructor;
+        # the checked one must give the same edges, as Python ints.
+        rng = np.random.default_rng(141)
+        solved = 0
+        for trial in range(120):
+            inst = random_instance(rng, max_m=5, max_n=5, max_cells=20,
+                                   right_constrained=trial % 3 == 0,
+                                   per_node=trial % 3 == 1)
+            for solve in (solve_min_weight, solve_diverse_exact,
+                          solve_diverse_greedy):
+                match = solve(inst).matching
+                if match is None:
+                    continue
+                assert Matching(list(reversed(match.edges))) == match
+                assert all(type(i) is int and type(j) is int
+                           for i, j in match.edges)
+                solved += 1
+        assert solved >= 200
+        edges = [(2, 1), (0, 3), (1, 0)]
+        assert Matching._trusted(edges) == Matching(edges)
+
     def test_degrees(self):
         match = Matching([(0, 0), (0, 1), (2, 1)])
         deg_l, deg_r = match.degrees(3, 2)

@@ -167,6 +167,56 @@ class TestWarmStart:
         assert sides == {"left", "right", None}
 
 
+def decoded_edges(net):
+    """The edges whose arcs carry flow in net's graph."""
+    g = net.graph
+    return tuple((i, j) for i, row in enumerate(net.edge_arcs)
+                 for j, arc in enumerate(row) if g.cap[arc ^ 1])
+
+
+class TestLazyLowering:
+    # When the warm start meets every bound (need 0) the solve reads its
+    # picks and builds no graph; a graph built anyway carries the same
+    # flow and routes nothing more.
+
+    @pytest.mark.parametrize("cfg, side", [
+        (GeneratorConfig(m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5,
+                         seed=(7, 4, 0)), "right"),
+        (GeneratorConfig(m=100, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
+                         r_hi=100, seed=(7, 100)), "left"),
+        (GeneratorConfig(m=200, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
+                         r_hi=200, seed=(7, 200)), "left"),
+    ], ids=["fig2-10x10", "100x10", "200x10"])
+    def test_need_zero_solve_builds_no_graph(self, cfg, side):
+        inst = gen_instance(cfg)
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side) == (0, side)
+        match, augmentations = solve_circulation(net)
+        assert augmentations == 1
+        assert "graph" not in vars(net)
+
+        forced = reduce_to_circulation(inst)
+        sent, routed = forced.graph.min_cost_flow(forced.source, forced.sink)
+        assert (sent, routed) == (0, 0)
+        assert decoded_edges(forced) == match.edges
+
+        rep = solve_min_weight(inst)
+        assert rep.telemetry == {"augmentations": 1, "warm_side": side}
+        assert rep.matching == match
+
+    def test_solve_with_units_left_builds_the_graph_once(self):
+        # Neither warm start fits this perfect matching (see
+        # test_neither_side_fits_starts_cold), so the shortest paths run.
+        inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
+                        2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
+        net = reduce_to_circulation(inst)
+        assert net.need == 4 and "graph" not in vars(net)
+        match, _ = solve_circulation(net)
+        assert net.graph is vars(net)["graph"]
+        assert decoded_edges(net) == match.edges
+        assert solve_min_weight(inst).matching == match
+
+
 class TestArcStructure:
     # The documented arc order: supplies by left node, edges in (left,
     # right) order, demands by right node, the bypass, s->tt, ss->t,

@@ -336,11 +336,12 @@ def solve_diverse_exact(inst: Instance,
     with status optimal, or returns the best incumbent as
     feasible_incumbent when budget_ms elapses first.  The budget is
     checked between search nodes only, so the warm start always runs and
-    a feasible instance always gets a matching; a negative or NaN budget
-    raises ConfigError.  Telemetry lower_bound is a certified floor on the
-    optimum and gap the returned cost's relative distance above it.
+    a feasible instance always gets a matching; a negative, NaN or bool
+    budget raises ConfigError.  Telemetry lower_bound is a certified
+    floor on the optimum and gap the returned cost's relative distance
+    above it.
     """
-    if budget_ms is not None and not budget_ms >= 0:
+    if isinstance(budget_ms, bool) or budget_ms is not None and not budget_ms >= 0:
         raise ConfigError(
             f"budget_ms must be a nonnegative number, got {budget_ms!r}")
     start = time.perf_counter()

@@ -20,7 +20,7 @@ pairs sorted by (i, j).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,53 +42,60 @@ def _as_int(value, field: str) -> int:
     return int(value)
 
 
-def _as_bound_tuple(value, length: int, side: str, limit: int) -> tuple[int, ...]:
-    """Broadcast a scalar or validate a per-node sequence of bounds."""
-    # a 0-d array is no sequence; the scalar branch rejects it
-    if (isinstance(value, (list, tuple))
-            or isinstance(value, np.ndarray) and value.ndim > 0):
-        seq = [_as_int(v, f"{side}[{idx}]") for idx, v in enumerate(value)]
-        if len(seq) != length:
-            raise InstanceError(
-                f"{side} bound has length {len(seq)}, expected {length}")
-    else:
-        seq = [_as_int(value, side)] * length
-    for idx, v in enumerate(seq):
-        if v < 0:
-            raise InstanceError(f"{side}[{idx}] = {v} is negative")
-        if v > limit:
-            raise InstanceError(f"{side}[{idx}] = {v} exceeds the other side's size {limit}")
-    return tuple(seq)
+def _is_sequence(value) -> bool:
+    """A list, tuple or array of one or more dimensions (0-d is scalar)."""
+    return (isinstance(value, (list, tuple))
+            or isinstance(value, np.ndarray) and value.ndim > 0)
 
 
 @dataclass(frozen=True)
 class DegreeBounds:
-    """Per-node degree intervals for both sides of the graph."""
+    """Per-node degree intervals for both sides of the graph.
+
+    Every construction checks itself: entries are integers (Python or
+    numpy, not bools), stored as tuples of Python ints; each side's lo
+    and hi have equal length; 0 <= lo <= hi <= the other side's size.
+    """
 
     l_lo: tuple[int, ...]
     l_hi: tuple[int, ...]
     r_lo: tuple[int, ...]
     r_hi: tuple[int, ...]
 
+    def __post_init__(self):
+        for name in ("l_lo", "l_hi", "r_lo", "r_hi"):
+            field, value = name.capitalize(), getattr(self, name)
+            if not _is_sequence(value):
+                raise InstanceError(
+                    f"{field} must be a sequence of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(
+                [v if type(v) is int else _as_int(v, f"{field}[{i}]")
+                 for i, v in enumerate(value)]))
+        for side, lo, hi, limit in (("L", self.l_lo, self.l_hi, len(self.r_lo)),
+                                    ("R", self.r_lo, self.r_hi, len(self.l_lo))):
+            if len(lo) != len(hi):
+                raise InstanceError(f"{side}_lo has {len(lo)} entries but "
+                                    f"{side}_hi has {len(hi)}")
+            for i, (a, b) in enumerate(zip(lo, hi)):
+                if not 0 <= a <= b <= limit:
+                    raise InstanceError(
+                        f"{side}_lo[{i}] = {a}, {side}_hi[{i}] = {b} break "
+                        f"0 <= lo <= hi <= {limit}, the other side's size")
+
     @staticmethod
     def broadcast(m: int, n: int, l_lo, l_hi, r_lo, r_hi) -> "DegreeBounds":
-        """Build bounds from scalars or per-node sequences."""
-        b = DegreeBounds(
-            _as_bound_tuple(l_lo, m, "L_lo", n),
-            _as_bound_tuple(l_hi, m, "L_hi", n),
-            _as_bound_tuple(r_lo, n, "R_lo", m),
-            _as_bound_tuple(r_hi, n, "R_hi", m),
-        )
-        b.validate()
-        return b
-
-    def validate(self) -> None:
-        for i, (lo, hi) in enumerate(zip(self.l_lo, self.l_hi)):
-            if lo > hi:
-                raise InstanceError(f"L_lo[{i}] = {lo} > L_hi[{i}] = {hi}")
-        for j, (lo, hi) in enumerate(zip(self.r_lo, self.r_hi)):
-            if lo > hi:
-                raise InstanceError(f"R_lo[{j}] = {lo} > R_hi[{j}] = {hi}")
+        """Build bounds from scalars or per-node sequences; here only a
+        sequence's length is checked, against m or n."""
+        fields = []
+        for field, value, length in (("L_lo", l_lo, m), ("L_hi", l_hi, m),
+                                     ("R_lo", r_lo, n), ("R_hi", r_hi, n)):
+            if not _is_sequence(value):
+                value = (_as_int(value, field),) * length
+            elif len(value) != length:
+                raise InstanceError(
+                    f"{field} bound has length {len(value)}, expected {length}")
+            fields.append(value)
+        return DegreeBounds(*fields)
 
 
 class Instance:
@@ -97,25 +104,28 @@ class Instance:
     Construction validates everything: weights must be finite and
     nonnegative, cluster ids must cover {0..k-1} with no gaps (an empty
     cluster is a rejected input, not a silent renumbering), and bounds
-    must be per-node consistent.  Instances are safe to share across
-    concurrent solver runs.
+    must be a DegreeBounds (which checks itself) sized m by n.
+    Instances are safe to share across concurrent solver runs.
     """
 
     __slots__ = ("_weights", "_clusters", "_k", "_bounds")
 
     def __init__(self, weights, clusters: Sequence[int], k: int, bounds: DegreeBounds):
         try:
-            w = np.array(weights, dtype=np.float64)
+            w = np.asarray(weights)
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"weights must be real numbers: {exc}") from None
+        # bools, strings, objects and complex numbers are refused, not cast
+        if w.dtype.kind not in "iuf":
+            raise InstanceError(f"weights must be real numbers, got dtype {w.dtype}")
+        w = w.astype(np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise InstanceError(f"weights must be a 2-D m x n table, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            bad = np.argwhere(~np.isfinite(w))[0]
-            raise InstanceError(f"weights[{bad[0]}][{bad[1]}] is not finite")
-        if np.any(w < 0):
-            bad = np.argwhere(w < 0)[0]
-            raise InstanceError(f"weights[{bad[0]}][{bad[1]}] is negative")
+        for bad, what in ((~np.isfinite(w), "is not finite"),
+                          (w < 0, "is negative")):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise InstanceError(f"weights[{i}][{j}] {what}")
         m, n = w.shape
 
         k = _as_int(k, "k")
@@ -130,20 +140,13 @@ class Instance:
                 raise InstanceError(f"clusters[{i}] = {ci} outside 0..{k - 1}")
         used = np.unique(c)
         if len(used) != k:
-            missing = sorted(set(range(k)) - set(int(x) for x in used))
+            missing = sorted(set(range(k)) - set(used.tolist()))
             raise InstanceError(f"cluster ids {missing} unused; k = {k} must be tight")
 
         if not isinstance(bounds, DegreeBounds):
             raise InstanceError("bounds must be a DegreeBounds")
         if len(bounds.l_lo) != m or len(bounds.r_lo) != n:
             raise InstanceError("bounds sized for a different instance")
-        bounds.validate()
-        for i, hi in enumerate(bounds.l_hi):
-            if hi > n:
-                raise InstanceError(f"L_hi[{i}] = {hi} > n = {n}")
-        for j, hi in enumerate(bounds.r_hi):
-            if hi > m:
-                raise InstanceError(f"R_hi[{j}] = {hi} > m = {m}")
 
         w.setflags(write=False)
         c.setflags(write=False)
@@ -187,8 +190,7 @@ class Instance:
         node's edges can be chosen independently.
         """
         b = self._bounds
-        return (all(lo == 0 for lo in b.l_lo)
-                and all(hi >= self.n for hi in b.l_hi))
+        return max(b.l_lo) == 0 and min(b.l_hi) == self.n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -358,14 +360,11 @@ def check_matching(inst: Instance, match: Matching) -> tuple[bool, list[str]]:
     dl, dr = match.degrees(inst.m, inst.n)
     b = inst.bounds
     violations = []
-    for i in range(inst.m):
-        if not (b.l_lo[i] <= dl[i] <= b.l_hi[i]):
-            violations.append(
-                f"left {i}: degree {dl[i]} outside [{b.l_lo[i]}, {b.l_hi[i]}]")
-    for j in range(inst.n):
-        if not (b.r_lo[j] <= dr[j] <= b.r_hi[j]):
-            violations.append(
-                f"right {j}: degree {dr[j]} outside [{b.r_lo[j]}, {b.r_hi[j]}]")
+    for side, deg, lo, hi in (("left", dl, b.l_lo, b.l_hi),
+                              ("right", dr, b.r_lo, b.r_hi)):
+        for i, (d, a, c) in enumerate(zip(deg.tolist(), lo, hi)):
+            if not a <= d <= c:
+                violations.append(f"{side} {i}: degree {d} outside [{a}, {c}]")
     return not violations, violations
 
 
@@ -385,8 +384,9 @@ def load_instance(text: str) -> Instance:
     for field in ("m", "n", "k", "weights", "clusters", "bounds"):
         if field not in doc:
             raise InstanceError(f"missing field {field!r}")
-    m, n, k = doc["m"], doc["n"], doc["k"]
-    for name, v in (("m", m), ("n", n), ("k", k)):
+    # only what the constructors cannot check: m, n, JSON shapes, bools
+    m, n = doc["m"], doc["n"]
+    for name, v in (("m", m), ("n", n)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise InstanceError(f"{name} must be a positive integer, got {v!r}")
     w = doc["weights"]
@@ -396,20 +396,19 @@ def load_instance(text: str) -> Instance:
         if not isinstance(row, list) or len(row) != n:
             raise InstanceError(f"weights row {i} must have n = {n} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
+            if isinstance(v, bool):
                 raise InstanceError(f"weights[{i}][{j}] is not a number")
-    if not isinstance(doc["clusters"], list) or len(doc["clusters"]) != m:
-        raise InstanceError(f"clusters must be a list of m = {m} labels")
+    if not isinstance(doc["clusters"], list):
+        raise InstanceError("clusters must be a list of labels")
     bounds_doc = doc["bounds"]
     if not isinstance(bounds_doc, dict):
         raise InstanceError("bounds must be an object")
-    for field in ("L_lo", "L_hi", "R_lo", "R_hi"):
+    fields = ("L_lo", "L_hi", "R_lo", "R_hi")
+    for field in fields:
         if field not in bounds_doc:
             raise InstanceError(f"bounds missing field {field!r}")
-    bounds = DegreeBounds.broadcast(
-        m, n, bounds_doc["L_lo"], bounds_doc["L_hi"],
-        bounds_doc["R_lo"], bounds_doc["R_hi"])
-    return Instance(w, doc["clusters"], k, bounds)
+    bounds = DegreeBounds.broadcast(m, n, *(bounds_doc[f] for f in fields))
+    return Instance(w, doc["clusters"], doc["k"], bounds)
 
 
 def save_instance(inst: Instance) -> str:
@@ -420,12 +419,7 @@ def save_instance(inst: Instance) -> str:
         "k": inst.k,
         "weights": [[float(v) for v in row] for row in inst.weights],
         "clusters": [int(c) for c in inst.clusters],
-        "bounds": {
-            "L_lo": list(inst.bounds.l_lo),
-            "L_hi": list(inst.bounds.l_hi),
-            "R_lo": list(inst.bounds.r_lo),
-            "R_hi": list(inst.bounds.r_hi),
-        },
+        "bounds": {f.capitalize(): list(v) for f, v in asdict(inst.bounds).items()},
     }
     return json.dumps(doc)
 
@@ -441,12 +435,7 @@ def load_matching(text: str) -> Matching:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise MatchingError("'edges' must be a list of [i, j] pairs")
-    pairs = []
-    for idx, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
-            raise MatchingError(f"edges[{idx}] is not an [i, j] pair")
-        pairs.append((e[0], e[1]))
-    return Matching(pairs)
+    return Matching(edges)
 
 
 def save_matching(match: Matching) -> str:

@@ -19,6 +19,7 @@ sorted edge list.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics as _metrics
-from .errors import SizeCapError
+from .errors import ConfigError, SizeCapError
 from .instance import Instance, Matching
 from .objective import diversity_cost, total_weight
 from .report import INFEASIBLE, OPTIMAL, SolveReport
@@ -48,6 +49,14 @@ class EnumerationBudget:
 
     max_subsets: int = 1 << 20
     max_wall_s: float = 120.0
+
+    def __post_init__(self):
+        cap, wall = self.max_subsets, self.max_wall_s
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ConfigError(f"max_subsets must be a positive integer, got {cap!r}")
+        # a NaN wall budget would never refuse, so it is refused here
+        if isinstance(wall, bool) or not isinstance(wall, numbers.Real) or not wall >= 0:
+            raise ConfigError(f"max_wall_s must be a nonnegative number, got {wall!r}")
 
 
 def _row_table(n: int, lo: int, hi: int) -> np.ndarray:

@@ -163,9 +163,11 @@ class TestRightOnlyDP:
         assert min(seen.values()) >= 30, seen
 
     def test_unmeetable_demand_names_the_right_node(self):
-        # Instance rejects R_lo above m, so a stand-in with the fields the
-        # dynamic program reads carries R_lo[1] = 3 against two left nodes.
-        bounds = DegreeBounds((0, 0), (2, 2), (1, 3), (2, 3))
+        # DegreeBounds rejects R_hi above m, so a stand-in with the fields
+        # the dynamic program reads carries R_lo[1] = 3 against two left
+        # nodes.
+        bounds = SimpleNamespace(l_lo=(0, 0), l_hi=(2, 2), r_lo=(1, 3),
+                                 r_hi=(2, 3))
         inst = SimpleNamespace(weights=np.ones((2, 2)), m=2, n=2, k=2,
                                clusters=np.array([0, 1]), bounds=bounds)
         with pytest.raises(InternalError, match="right node 1 cannot meet "
@@ -249,7 +251,7 @@ class TestAnytimeBudget:
 
     def test_rejects_negative_or_nan_budget(self):
         inst = random_instance(np.random.default_rng(423))
-        for bad in (-1.0, float("nan")):
+        for bad in (-1.0, float("nan"), True):
             with pytest.raises(ConfigError):
                 solve_diverse_exact(inst, budget_ms=bad)
 

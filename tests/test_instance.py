@@ -81,6 +81,13 @@ class TestDegreeBounds:
         with pytest.raises(InstanceError, match="L_lo must be an integer"):
             DegreeBounds.broadcast(3, 2, np.array(0), 2, 1, 3)
 
+    def test_direct_construction_stores_python_int_tuples(self):
+        b = DegreeBounds([0, 1], np.array([2, 2]), (np.int8(1), 0), [2, 1])
+        assert b == DegreeBounds.broadcast(2, 2, [0, 1], 2, [1, 0], [2, 1])
+        for field in (b.l_lo, b.l_hi, b.r_lo, b.r_hi):
+            assert type(field) is tuple
+            assert all(type(v) is int for v in field)
+
 
 class TestInstanceValidation:
     def test_accepts_valid(self):
@@ -122,6 +129,30 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="k must be an integer"):
             Instance(np.ones((2, 2)), np.array([0, 1]), 2.5,
                      DegreeBounds.broadcast(2, 2, 0, 2, 0, 2))
+
+    @pytest.mark.parametrize("weights, fields, named", [
+        (None, {"l_lo": (-1, 0)}, "L_lo[0] = -1, L_hi[0] = 2 break"),
+        (None, {"l_lo": (0.5, 0)}, "L_lo[0] must be an integer"),
+        (None, {"r_hi": (True, 2)}, "R_hi[0] must be an integer"),
+        (None, {"l_hi": (2,)}, "L_lo has 2 entries but L_hi has 1"),
+        (None, {"r_hi": (2,)}, "R_lo has 2 entries but R_hi has 1"),
+        (None, {"l_hi": (3, 2)}, "L_hi[0] = 3 break 0 <= lo <= hi <= 2"),
+        (None, {"r_lo": (2, 1), "r_hi": (1, 1)}, "R_lo[0] = 2, R_hi[0] = 1 break"),
+        (None, {"r_lo": np.array(0)}, "R_lo must be a sequence"),
+        ([["0.5", "1"], ["1", "1"]], {}, "weights must be real numbers"),
+        (np.ones((2, 2), dtype=bool), {}, "weights must be real numbers"),
+        (np.ones((2, 2), dtype=complex), {}, "weights must be real numbers"),
+        ([[1.0, None], [1.0, 1.0]], {}, "weights must be real numbers"),
+    ], ids=["negative-lo", "float-lo", "bool-hi", "short-l-hi",
+            "short-r-hi", "hi-above-n", "inverted", "scalar-field",
+            "string-weights", "bool-weights", "complex-weights",
+            "object-weights"])
+    def test_direct_construction_is_checked(self, weights, fields, named):
+        bounds = dict(l_lo=(0, 0), l_hi=(2, 2), r_lo=(0, 0), r_hi=(2, 2))
+        bounds.update(fields)
+        weights = np.ones((2, 2)) if weights is None else weights
+        with pytest.raises(InstanceError, match=re.escape(named)):
+            Instance(weights, [0, 1], 2, DegreeBounds(**bounds))
 
     def test_immutable(self):
         inst = tiny_instance()
@@ -409,6 +440,39 @@ class TestSerialization:
                         b)
         assert inst.bounds.l_hi == (2, 2)
         assert inst.clusters.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("fields", [
+        (0, 3, 1, 2),
+        ([0, 1], [3, 2], [1, 1, 0], [2, 2, 2]),
+        (np.array([0, 1]), np.array([3, 2], dtype=np.int32),
+         np.array([1, 1, 0], dtype=np.uint8), np.array([2, 2, 2])),
+        ((np.int64(0), np.int16(1)), (np.int32(3), 2),
+         (1, np.uint64(1), 0), (np.int8(2),) * 3),
+    ], ids=["scalars", "lists", "arrays", "numpy-int-tuples"])
+    def test_bounds_from_any_input_round_trip(self, fields):
+        bounds = (DegreeBounds.broadcast(2, 3, *fields)
+                  if np.isscalar(fields[0]) else DegreeBounds(*fields))
+        inst = Instance(np.arange(6.0).reshape(2, 3), [0, 1], 2, bounds)
+        back = load_instance(save_instance(inst))
+        assert back == inst
+        assert hash(back) == hash(inst)
+
+    @pytest.mark.parametrize("entry, named", [
+        (True, "weights[0][1] is not a number"),
+        ("2", "weights must be real numbers"),
+        (None, "weights must be real numbers"),
+    ])
+    def test_non_number_weight_rejected_on_load(self, entry, named):
+        doc = {"m": 1, "n": 2, "k": 1, "weights": [[1.0, entry]],
+               "clusters": [0],
+               "bounds": {"L_lo": 0, "L_hi": 2, "R_lo": 0, "R_hi": 1}}
+        with pytest.raises(InstanceError, match=re.escape(named)):
+            load_instance(json.dumps(doc))
+
+    def test_malformed_edges_rejected_on_load(self):
+        for edges in ([[0, 1, 2]], [5], [["0", 1]], [[True, 0]]):
+            with pytest.raises(MatchingError):
+                load_matching(json.dumps({"edges": edges}))
 
     def test_missing_field_is_named(self):
         with pytest.raises(InstanceError, match="bounds"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from divmatch import (
+    ConfigError,
     DegreeBounds,
     EnumerationBudget,
     INFEASIBLE,
@@ -42,6 +43,15 @@ class TestBudgetDiscipline:
         budget = EnumerationBudget(max_subsets=1 << 20, max_wall_s=0.0)
         with pytest.raises(SizeCapError):
             brute_force(inst, OBJECTIVE_WEIGHT, budget)
+
+    @pytest.mark.parametrize("fields", [
+        {"max_wall_s": float("nan")}, {"max_wall_s": -1.0},
+        {"max_wall_s": True}, {"max_subsets": 0}, {"max_subsets": -4},
+        {"max_subsets": True}, {"max_subsets": 1.5},
+    ])
+    def test_budget_rejects_bad_fields(self, fields):
+        with pytest.raises(ConfigError):
+            EnumerationBudget(**fields)
 
 
 class TestKnownAnswers:

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .exact import solve_diverse_exact
 from .greedy import solve_diverse_greedy
 from .instance import DegreeBounds, Instance
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport, _csv_cell, compute_metrics
 from .minweight import solve_min_weight
 
 SCALING_BUDGET_MS = 60_000.0
@@ -73,14 +73,10 @@ def gen_instance(cfg: GeneratorConfig) -> Instance:
 
 
 def _csv_table(header: str, rows: list[dict]) -> str:
-    """CSV of dict rows in header order: None empty, floats by repr."""
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        return repr(v) if isinstance(v, float) else str(v)
-
+    """CSV of dict rows in header order, one _csv_cell per value."""
     cols = header.split(",")
-    lines = [header] + [",".join(cell(row[c]) for c in cols) for row in rows]
+    lines = [header] + [",".join(_csv_cell(row[c]) for c in cols)
+                        for row in rows]
     return "\n".join(lines) + "\n"
 
 

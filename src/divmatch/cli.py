@@ -21,15 +21,15 @@ from typing import Optional
 from .bench import (GeneratorConfig, SCALING_BUDGET_MS, gen_instance,
                     run_bounds_sweep, run_cluster_sweep, run_scaling,
                     scaling_csv)
-from .errors import (ConfigError, DivMatchError, InstanceError,
-                     InternalError, MatchingError, SizeCapError)
+from .errors import (ConfigError, InstanceError, InternalError,
+                     MatchingError, SizeCapError)
 from .exact import solve_diverse_exact
 from .greedy import solve_diverse_greedy
 from .instance import (check_matching, load_instance, load_matching,
                        save_instance, transform_max_to_min)
 from .metrics import MetricsReport, compute_metrics
 from .minweight import solve_min_weight
-from .objective import diversity_cost, total_weight
+from .objective import total_weight
 from .oracle import OBJECTIVE_DIVERSITY, OBJECTIVE_WEIGHT, brute_force
 from .report import INFEASIBLE, OPTIMAL
 
@@ -142,7 +142,6 @@ def _load_solved(path: str, inst) -> SimpleNamespace:
     return SimpleNamespace(
         matching=match,
         total_weight=total_weight(inst, match),
-        diversity_cost=diversity_cost(inst, match),
         status=doc.get("status", "unknown"),
         wall_time=float(wall_time))
 
@@ -292,13 +291,7 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as exc:
         _error_doc(type(exc).__name__, str(exc), EXIT_USAGE)
         return EXIT_USAGE
-    except InternalError as exc:
-        _error_doc("InternalError", str(exc), EXIT_INTERNAL)
-        return EXIT_INTERNAL
-    except DivMatchError as exc:
-        _error_doc(type(exc).__name__, str(exc), EXIT_INTERNAL)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # InternalError and any other failure
         _error_doc(type(exc).__name__, str(exc), EXIT_INTERNAL)
         return EXIT_INTERNAL
 

@@ -131,6 +131,9 @@ class Instance:
         k = _as_int(k, "k")
         if k < 1:
             raise InstanceError(f"k must be positive, got {k}")
+        if not _is_sequence(clusters):
+            raise InstanceError(
+                f"clusters must be a sequence of integers, got {clusters!r}")
         c = np.array([_as_int(x, f"clusters[{i}]")
                       for i, x in enumerate(clusters)], dtype=np.int64)
         if c.shape != (m,):

@@ -13,11 +13,18 @@ entropy gain is a ratio, so the base would cancel in it anyway.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .instance import Instance, Matching
+from .objective import _groups
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: None empty, a float by repr, anything else by str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def node_entropy(inst: Instance, match: Matching,
@@ -29,16 +36,22 @@ def node_entropy(inst: Instance, match: Matching,
     A node with no selected edges has no distribution: returns None,
     and callers exclude it from averages.
     """
-    counts = Counter(int(inst.clusters[i]) for i, j in match if j == right_node)
-    deg = sum(counts.values())
-    if deg == 0:
-        return None
-    return -math.fsum((c / deg) * math.log(c / deg) for c in counts.values())
+    if not 0 <= right_node < inst.n:
+        raise IndexError(f"right node {right_node} outside 0..{inst.n - 1}")
+    return entropy_profile(inst, match)[right_node]
 
 
 def entropy_profile(inst: Instance, match: Matching) -> list[Optional[float]]:
     """node_entropy for every right node, None where undefined."""
-    return [node_entropy(inst, match, j) for j in range(inst.n)]
+    counts: list[list[int]] = [[] for _ in range(inst.n)]
+    for (j, _), group in _groups(inst, match).items():
+        counts[j].append(len(group))
+    profile = []
+    for node in counts:
+        deg = sum(node)
+        profile.append(None if deg == 0 else -math.fsum(
+            (c / deg) * math.log(c / deg) for c in node))
+    return profile
 
 
 def entropy_gain(inst: Instance, baseline: Matching,
@@ -51,29 +64,16 @@ def entropy_gain(inst: Instance, baseline: Matching,
     is zero (every baseline neighborhood single-cluster) or when no node
     is defined on both sides, with the diagnostic saying which.
     """
-    eb = entropy_profile(inst, baseline)
-    ed = entropy_profile(inst, diverse)
-    return _profile_gain(eb, ed)[2:]
-
-
-def _profile_gain(eb: list[Optional[float]], ed: list[Optional[float]]):
-    """(avg baseline, avg diverse, gain, diagnostic) of two profiles.
-
-    The averages run over the nodes defined in both profiles and are
-    None when there is none; the gain is None with a diagnostic when
-    the averages cannot give it (see entropy_gain).
-    """
-    pairs = [(b, d) for b, d in zip(eb, ed) if b is not None and d is not None]
+    pairs = [(b, d) for b, d in zip(entropy_profile(inst, baseline),
+                                    entropy_profile(inst, diverse))
+             if b is not None and d is not None]
     if not pairs:
-        return (None, None, None,
-                "no right node has selected edges in both matchings")
-    avg_b = math.fsum(b for b, _ in pairs) / len(pairs)
-    avg_d = math.fsum(d for _, d in pairs) / len(pairs)
+        return None, "no right node has selected edges in both matchings"
+    avg_b, avg_d = (math.fsum(side) / len(pairs) for side in zip(*pairs))
     if avg_b == 0.0:
-        return avg_b, avg_d, None, (
-            "baseline average entropy is zero (all single-cluster "
-            "neighborhoods); entropy gain is undefined")
-    return avg_b, avg_d, avg_d / avg_b, ""
+        return None, ("baseline average entropy is zero (all single-cluster "
+                      "neighborhoods); entropy gain is undefined")
+    return avg_d / avg_b, ""
 
 
 def price_of_diversity(weight_baseline: float,
@@ -126,15 +126,13 @@ def pod_lower_bound(inst: Instance,
     the diagnostic lists them.  With zero summed baseline weight the
     bound degenerates to 1 (vacuous, flagged).
     """
-    w = inst.weights
-    by_node: dict[int, list[float]] = {}
-    for i, j in baseline:
-        by_node.setdefault(j, []).append(float(w[i, j]))
+    by_node: list[list[float]] = [[] for _ in range(inst.n)]
+    for (j, _), group in _groups(inst, baseline).items():
+        by_node[j].extend(group)
     baseline_w = []
     diverse_cap = []
     skipped = []
-    for j in range(inst.n):
-        sel = by_node.get(j)
+    for j, sel in enumerate(by_node):
         if not sel:
             skipped.append(j)
             continue
@@ -177,10 +175,6 @@ class MetricsReport:
     pod: Optional[float]
     pod_bound: Optional[float]
     eg: Optional[float]
-    entropy_baseline: tuple[Optional[float], ...]
-    entropy_diverse: tuple[Optional[float], ...]
-    avg_entropy_baseline: Optional[float]
-    avg_entropy_diverse: Optional[float]
     status_baseline: str
     status_diverse: str
     wall_s_baseline: float
@@ -192,18 +186,10 @@ class MetricsReport:
                   "wall_s_baseline,wall_s_diverse")
 
     def to_csv_row(self) -> str:
-        r_lo = (str(self.r_lo[0]) if len(set(self.r_lo)) == 1
+        r_lo = (self.r_lo[0] if len(set(self.r_lo)) == 1
                 else "|".join(str(v) for v in self.r_lo))
-
-        def num(v):
-            return "" if v is None else repr(float(v))
-
-        cells = [self.instance_id, str(self.m), str(self.n), str(self.k),
-                 r_lo, num(self.weight_baseline), num(self.weight_diverse),
-                 num(self.pod), num(self.pod_bound), num(self.eg),
-                 self.status_baseline, self.status_diverse,
-                 num(self.wall_s_baseline), num(self.wall_s_diverse)]
-        return ",".join(cells)
+        return ",".join(_csv_cell(r_lo if c == "r_lo" else getattr(self, c))
+                        for c in self.CSV_HEADER.split(","))
 
 
 def compute_metrics(inst: Instance, baseline_report, diverse_report,
@@ -217,9 +203,7 @@ def compute_metrics(inst: Instance, baseline_report, diverse_report,
     mb, md = baseline_report.matching, diverse_report.matching
     if mb is None or md is None:
         raise ValueError("metrics need two solved matchings")
-    eb = entropy_profile(inst, mb)
-    ed = entropy_profile(inst, md)
-    avg_b, avg_d, eg, eg_diag = _profile_gain(eb, ed)
+    eg, eg_diag = entropy_gain(inst, mb, md)
     pod = price_of_diversity(baseline_report.total_weight,
                              diverse_report.total_weight)
     pod_diag = "" if pod is not None else "diverse weight is zero; PoD undefined"
@@ -234,10 +218,6 @@ def compute_metrics(inst: Instance, baseline_report, diverse_report,
         pod=pod,
         pod_bound=bound,
         eg=eg,
-        entropy_baseline=tuple(eb),
-        entropy_diverse=tuple(ed),
-        avg_entropy_baseline=avg_b,
-        avg_entropy_diverse=avg_d,
         status_baseline=baseline_report.status,
         status_diverse=diverse_report.status,
         wall_s_baseline=baseline_report.wall_time,

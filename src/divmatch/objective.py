@@ -39,19 +39,29 @@ def total_weight(inst: Instance, match: Matching) -> float:
     return math.fsum(w[i, j] for i, j in match)
 
 
-def diversity_cost(inst: Instance, match: Matching) -> float:
-    """Cluster concentration cost of a matching, computed from scratch.
+def _groups(inst: Instance,
+            match: Matching) -> dict[tuple[int, int], list[float]]:
+    """Selected weights keyed by (right node, cluster of the left node).
 
-    Groups selected edges by (right node, cluster of left node), sums each
-    group with fsum, squares, and fsums the squares.  This is the reference
-    evaluation; solvers keep the same number incrementally.
+    The one grouping behind the concentration cost, the entropies and
+    the PoD floor (see metrics).
     """
     w = inst.weights
     clusters = inst.clusters
     groups: dict[tuple[int, int], list[float]] = defaultdict(list)
     for i, j in match:
         groups[(j, int(clusters[i]))].append(float(w[i, j]))
-    return math.fsum(math.fsum(g) ** 2 for g in groups.values())
+    return groups
+
+
+def diversity_cost(inst: Instance, match: Matching) -> float:
+    """Cluster concentration cost of a matching, computed from scratch.
+
+    Sums each (right node, cluster) group of selected weights with
+    fsum, squares, and fsums the squares.  This is the reference
+    evaluation; solvers keep the same number incrementally.
+    """
+    return math.fsum(math.fsum(g) ** 2 for g in _groups(inst, match).values())
 
 
 class ClusterSums:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import replace
 
@@ -125,6 +126,18 @@ class TestClusterSweep:
         digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
         assert digest == FIG2_SEED7_DIGEST
 
+    def test_seed7_metrics_are_pinned(self):
+        # The same 180 instances through run_cluster_sweep: the fsum of
+        # each metric column and the count of undefined entropy gains.
+        reports = [row.report for row in run_cluster_sweep(trials=20).rows]
+        assert len(reports) == 180
+        assert sum(r.eg is None for r in reports) == 0
+        for field, want in (("pod", 176.19037879451696),
+                            ("pod_bound", 87.3455263182777),
+                            ("eg", 194.24376900994386)):
+            got = math.fsum(getattr(r, field) for r in reports)
+            assert got == pytest.approx(want, rel=1e-12), field
+
     def test_trials_csv_has_expected_shape(self):
         batch = run_cluster_sweep(k_values=(2,), trials=4, m=5, n=5,
                                   r_lo=2, seed=19)
@@ -132,6 +145,23 @@ class TestClusterSweep:
         assert len(lines) == 5
         header_cols = lines[0].count(",")
         assert all(line.count(",") == header_cols for line in lines[1:])
+
+
+class TestTrialsCsv:
+    def test_sweep_column_is_the_swept_value(self):
+        # The trials header has two k columns: the first is the swept
+        # value (R_lo in the bounds sweep), the second the instance's k.
+        cluster = run_cluster_sweep(k_values=(2, 3), trials=2, m=6, n=6,
+                                    r_lo=3)
+        for batch, swept in ((run_bounds_sweep(), "r_lo"), (cluster, "k")):
+            lines = batch.to_trials_csv().strip().splitlines()
+            header = lines[0].split(",")
+            assert header[:3] == ["trial", "k", "seed"]
+            col = header.index(swept, 3)
+            assert len(lines) > 1
+            for line in lines[1:]:
+                cells = line.split(",")
+                assert cells[1] == cells[col]
 
 
 class TestBoundsSweep:

@@ -130,29 +130,38 @@ class TestInstanceValidation:
             Instance(np.ones((2, 2)), np.array([0, 1]), 2.5,
                      DegreeBounds.broadcast(2, 2, 0, 2, 0, 2))
 
-    @pytest.mark.parametrize("weights, fields, named", [
-        (None, {"l_lo": (-1, 0)}, "L_lo[0] = -1, L_hi[0] = 2 break"),
-        (None, {"l_lo": (0.5, 0)}, "L_lo[0] must be an integer"),
-        (None, {"r_hi": (True, 2)}, "R_hi[0] must be an integer"),
-        (None, {"l_hi": (2,)}, "L_lo has 2 entries but L_hi has 1"),
-        (None, {"r_hi": (2,)}, "R_lo has 2 entries but R_hi has 1"),
-        (None, {"l_hi": (3, 2)}, "L_hi[0] = 3 break 0 <= lo <= hi <= 2"),
-        (None, {"r_lo": (2, 1), "r_hi": (1, 1)}, "R_lo[0] = 2, R_hi[0] = 1 break"),
-        (None, {"r_lo": np.array(0)}, "R_lo must be a sequence"),
-        ([["0.5", "1"], ["1", "1"]], {}, "weights must be real numbers"),
-        (np.ones((2, 2), dtype=bool), {}, "weights must be real numbers"),
-        (np.ones((2, 2), dtype=complex), {}, "weights must be real numbers"),
-        ([[1.0, None], [1.0, 1.0]], {}, "weights must be real numbers"),
+    @pytest.mark.parametrize("weights, clusters, fields, named", [
+        (None, [0, 1], {"l_lo": (-1, 0)}, "L_lo[0] = -1, L_hi[0] = 2 break"),
+        (None, [0, 1], {"l_lo": (0.5, 0)}, "L_lo[0] must be an integer"),
+        (None, [0, 1], {"r_hi": (True, 2)}, "R_hi[0] must be an integer"),
+        (None, [0, 1], {"l_hi": (2,)}, "L_lo has 2 entries but L_hi has 1"),
+        (None, [0, 1], {"r_hi": (2,)}, "R_lo has 2 entries but R_hi has 1"),
+        (None, [0, 1], {"l_hi": (3, 2)},
+         "L_hi[0] = 3 break 0 <= lo <= hi <= 2"),
+        (None, [0, 1], {"r_lo": (2, 1), "r_hi": (1, 1)},
+         "R_lo[0] = 2, R_hi[0] = 1 break"),
+        (None, [0, 1], {"r_lo": np.array(0)}, "R_lo must be a sequence"),
+        ([["0.5", "1"], ["1", "1"]], [0, 1], {},
+         "weights must be real numbers"),
+        (np.ones((2, 2), dtype=bool), [0, 1], {},
+         "weights must be real numbers"),
+        (np.ones((2, 2), dtype=complex), [0, 1], {},
+         "weights must be real numbers"),
+        ([[1.0, None], [1.0, 1.0]], [0, 1], {},
+         "weights must be real numbers"),
+        (None, 3, {}, "clusters must be a sequence of integers, got 3"),
+        (None, None, {}, "clusters must be a sequence of integers, got None"),
     ], ids=["negative-lo", "float-lo", "bool-hi", "short-l-hi",
             "short-r-hi", "hi-above-n", "inverted", "scalar-field",
             "string-weights", "bool-weights", "complex-weights",
-            "object-weights"])
-    def test_direct_construction_is_checked(self, weights, fields, named):
+            "object-weights", "scalar-clusters", "none-clusters"])
+    def test_direct_construction_is_checked(self, weights, clusters, fields,
+                                            named):
         bounds = dict(l_lo=(0, 0), l_hi=(2, 2), r_lo=(0, 0), r_hi=(2, 2))
         bounds.update(fields)
         weights = np.ones((2, 2)) if weights is None else weights
         with pytest.raises(InstanceError, match=re.escape(named)):
-            Instance(weights, [0, 1], 2, DegreeBounds(**bounds))
+            Instance(weights, clusters, 2, DegreeBounds(**bounds))
 
     def test_immutable(self):
         inst = tiny_instance()

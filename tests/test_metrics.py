@@ -1,8 +1,10 @@
 """Tests for entropy, entropy gain, price of diversity, and the bound."""
 
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from divmatch import (
     DegreeBounds,
@@ -56,6 +58,12 @@ class TestNodeEntropy:
         inst = homogeneous_instance(r_lo=0)
         assert node_entropy(inst, Matching([]), 0) is None
 
+    def test_rejects_node_outside_range(self):
+        inst = homogeneous_instance(n=2, r_lo=0)
+        for j in (-1, 2):
+            with pytest.raises(IndexError, match="right node"):
+                node_entropy(inst, Matching([(0, 0), (1, 1)]), j)
+
     def test_bounded_by_log_k(self):
         rng = np.random.default_rng(501)
         for _ in range(60):
@@ -69,6 +77,31 @@ class TestNodeEntropy:
                 if h is None:
                     continue
                 assert -1e-12 <= h <= math.log(inst.k) + 1e-12
+
+    def test_profile_matches_per_node_scan(self):
+        # The per-node Counter scan entropy_profile replaced, kept as the
+        # reference: same counts, same fsum, so the floats must be equal.
+        def reference(inst, match, right_node):
+            counts = Counter(int(inst.clusters[i])
+                             for i, j in match if j == right_node)
+            deg = sum(counts.values())
+            if deg == 0:
+                return None
+            return -math.fsum((c / deg) * math.log(c / deg)
+                              for c in counts.values())
+
+        rng = np.random.default_rng(503)
+        empty_nodes = 0
+        for _ in range(200):
+            inst = random_instance(rng, max_m=8, max_n=6, max_k=4,
+                                   max_cells=48)
+            keep = rng.random((inst.m, inst.n)) < rng.uniform(0.1, 0.9)
+            keep[:, rng.integers(inst.n)] = False
+            match = Matching([(int(i), int(j)) for i, j in np.argwhere(keep)])
+            expected = [reference(inst, match, j) for j in range(inst.n)]
+            assert entropy_profile(inst, match) == expected
+            empty_nodes += expected.count(None)
+        assert empty_nodes >= 200
 
     def test_label_permutation_invariant(self):
         rng = np.random.default_rng(502)
@@ -271,9 +304,7 @@ class TestComputeMetrics:
         report = MetricsReport(
             instance_id="x", m=2, n=2, k=1, r_lo=(1, 1),
             weight_baseline=None, weight_diverse=None, pod=None,
-            pod_bound=None, eg=None, entropy_baseline=(None, None),
-            entropy_diverse=(None, None), avg_entropy_baseline=None,
-            avg_entropy_diverse=None, status_baseline="infeasible",
+            pod_bound=None, eg=None, status_baseline="infeasible",
             status_diverse="infeasible", wall_s_baseline=0.0,
             wall_s_diverse=0.0)
         fields = report.to_csv_row().split(",")

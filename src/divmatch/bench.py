@@ -4,7 +4,10 @@ Random instances use numpy's default generator (PCG64), a named and
 documented PRNG, so a seed plus a config reproduces every instance bit
 for bit.  Batch runs derive one child seed per trial from the master
 seed as the sequence [master, sweep value, trial index]; the CSVs they
-emit are byte-identical across runs except for wall-time cells.
+emit are byte-identical across runs except for wall-time cells and the
+cells of an exact solve that stopped on its budget (such as
+`run_scaling`'s `cost_exact` on a large shape): those depend on how far
+the clock let the search go.
 
 Three batteries mirror the synthetic experiments this package is asked
 to support: a cluster-count sweep comparing the diverse solvers against

@@ -5,12 +5,14 @@ degree bound and minimizes the requested objective, found by exhaustive
 enumeration so it can anchor tests of the real solvers.  Only subsets
 whose left rows meet their bounds are generated: each row i has a table
 of the n-bit masks with popcount in [L_lo[i], L_hi[i]], and the
-candidates are the mixed-radix product of those tables, decoded in
-fixed-size chunks.  Each chunk keeps the candidates whose right degrees,
-summed from per-row column counts along the same decode, lie in
-[R_lo, R_hi]; only those reach the objective.  The subset cap still
-counts all 2^(m*n) subsets, so the instances refused do not depend on
-the bounds.
+candidates are the product of those tables, met in the middle: the
+outer rows' combinations are decoded once and crossed with each chunk
+of the inner rows'.  Each combination carries its partial objective and
+its right-degree key sum_j deg_j * (m+1)^j.  No degree exceeds m, so a
+pair's key is the sum of its halves' keys, and one table lookup keeps
+the pairs whose right degrees lie in [R_lo, R_hi]; only those are
+priced.  The subset cap still counts all 2^(m*n) subsets, so the
+instances refused do not depend on the bounds.
 
 Ties on the objective are broken toward the lexicographically smallest
 sorted edge list.
@@ -60,17 +62,12 @@ class EnumerationBudget:
 
 
 def _row_table(n: int, lo: int, hi: int) -> np.ndarray:
-    """0/1 columns of one left row's n-bit masks with popcount in [lo, hi],
-    one mask per row, in ascending mask order."""
+    """One left row's n-bit masks with popcount in [lo, hi], ascending."""
     masks = np.arange(1 << n, dtype=np.uint32)
     degree = np.zeros(len(masks), dtype=np.int8)
     for j in range(n):
         degree += (masks >> j & 1).astype(np.int8)
-    masks = masks[(degree >= lo) & (degree <= hi)]
-    cols = np.empty((len(masks), n), dtype=np.int8)
-    for j in range(n):
-        cols[:, j] = masks >> j & 1
-    return cols
+    return masks[(degree >= lo) & (degree <= hi)]
 
 
 def _objective_matrix(inst: Instance, objective: str) -> np.ndarray:
@@ -83,6 +80,19 @@ def _objective_matrix(inst: Instance, objective: str) -> np.ndarray:
     proj = np.zeros((m * n, n * k), dtype=np.float64)
     proj[edge, edge % n * k + inst.clusters[edge // n]] = inst.weights.ravel()
     return proj
+
+
+def _decode(tables: list[np.ndarray], index: np.ndarray, coef: np.ndarray,
+            place: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge bits, right-degree keys and partial objectives of the entries
+    at `index` of the product of `tables`, the last varying fastest."""
+    masks, stride = np.empty((len(index), len(tables)), np.uint32), 1
+    for r in reversed(range(len(tables))):
+        masks[:, r] = tables[r][index // stride % len(tables[r])]
+        stride *= len(tables[r])
+    bits = (masks[:, :, None] >> np.arange(len(place), dtype=np.uint32) & 1
+            ).astype(np.int8).reshape(len(index), -1)
+    return bits, bits @ np.tile(place, len(tables)), bits @ coef
 
 
 def brute_force(inst: Instance, objective: str = OBJECTIVE_WEIGHT,
@@ -100,33 +110,41 @@ def brute_force(inst: Instance, objective: str = OBJECTIVE_WEIGHT,
 
     start = time.perf_counter()
     b = inst.bounds
-    cols = [_row_table(n, b.l_lo[i], b.l_hi[i]) for i in range(m)]
-    radix = [len(c) for c in cols]
-    # mixed-radix digits, the last row varying fastest
-    stride = [math.prod(radix[i + 1:]) for i in range(m)]
+    tables = [_row_table(n, b.l_lo[i], b.l_hi[i]) for i in range(m)]
+    radix = [len(t) for t in tables]
     enumerated = math.prod(radix)
-    # degrees fit in int8: the subset cap keeps m and n far below 127
-    r_lo, r_hi = np.array(b.r_lo, np.int8), np.array(b.r_hi, np.int8)
+    # outer rows: the longest prefix whose product is <= sqrt(enumerated)
+    split = max(s for s in range(m + 1)
+                if math.prod(radix[:s]) ** 2 <= enumerated)
+    place = (m + 1) ** np.arange(n, dtype=np.int64)
+    deg = np.arange(m + 1)
+    allowed = np.ones(1, dtype=bool)  # indexed by key
+    for r_lo, r_hi in zip(b.r_lo, b.r_hi):  # column 0: the lowest digit
+        allowed = np.logical_and.outer((r_lo <= deg) & (deg <= r_hi),
+                                       allowed).ravel()
     coef = _objective_matrix(inst, objective)
+    bits_o, key_o, part_o = _decode(
+        tables[:split], np.arange(math.prod(radix[:split])), coef[:split * n],
+        place)
+    n_inner = enumerated // len(key_o)
+    step = max(1, _CHUNK // len(key_o))
     best_value = math.inf
     best_edges: Optional[tuple[tuple[int, int], ...]] = None
     feasible_count = 0
 
-    for lo in range(0, enumerated, _CHUNK):
+    for lo in range(0, n_inner, step):
         if time.perf_counter() - start > budget.max_wall_s:
             raise SizeCapError(
                 f"enumeration exceeded {budget.max_wall_s} s wall budget; "
                 "refusing rather than truncating")
-        index = np.arange(lo, min(lo + _CHUNK, enumerated), dtype=np.int64)
-        digits = [index // s % r for s, r in zip(stride, radix)]
-        deg_r = sum(c[d] for c, d in zip(cols, digits))
-        ok = np.all((deg_r >= r_lo) & (deg_r <= r_hi), axis=1)
-        feasible_count += int(ok.sum())
-        if not ok.any():
+        bits_i, key_i, part_i = _decode(
+            tables[split:], np.arange(lo, min(lo + step, n_inner)),
+            coef[split * n:], place)
+        pair_o, pair_i = np.nonzero(allowed[key_o[:, None] + key_i])
+        feasible_count += len(pair_o)
+        if not len(pair_o):
             continue
-        bits = np.hstack([c[d[ok]] for c, d in zip(cols, digits)]
-                         ).astype(np.float64)
-        values = bits @ coef
+        values = part_o[pair_o] + part_i[pair_i]
         if objective == OBJECTIVE_DIVERSITY:
             values = np.einsum("ij,ij->i", values, values)
         chunk_best = float(values.min())
@@ -135,7 +153,8 @@ def brute_force(inst: Instance, objective: str = OBJECTIVE_WEIGHT,
         if chunk_best < best_value:
             best_value = chunk_best
             best_edges = None
-        for row in bits[values == best_value]:
+        tied = values == best_value
+        for row in np.hstack((bits_o[pair_o[tied]], bits_i[pair_i[tied]])):
             edges = tuple(divmod(e, n) for e in np.flatnonzero(row).tolist())
             if best_edges is None or edges < best_edges:
                 best_edges = edges

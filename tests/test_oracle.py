@@ -24,7 +24,20 @@ from divmatch import (
     pod_lower_bound,
     total_weight,
 )
+from divmatch import oracle
 from conftest import random_instance
+
+
+class _TickingClock:
+    """A stand-in for the time module whose perf_counter advances 1 s
+    per reading."""
+
+    def __init__(self):
+        self.readings = 0
+
+    def perf_counter(self):
+        self.readings += 1
+        return float(self.readings)
 
 
 class TestBudgetDiscipline:
@@ -43,6 +56,24 @@ class TestBudgetDiscipline:
         budget = EnumerationBudget(max_subsets=1 << 20, max_wall_s=0.0)
         with pytest.raises(SizeCapError):
             brute_force(inst, OBJECTIVE_WEIGHT, budget)
+
+    def test_refuses_mid_scan(self, monkeypatch):
+        # brute_force reads the clock at the start, before every block and
+        # at the end, so 2.5 s on a clock that ticks 1 s per reading lets
+        # two blocks run and refuses the third
+        inst = Instance(np.ones((4, 4)), np.zeros(4, dtype=int), 1,
+                        DegreeBounds.broadcast(4, 4, 0, 4, 0, 4))
+        clock = _TickingClock()
+        monkeypatch.setattr(oracle, "time", clock)
+        rep = brute_force(inst, OBJECTIVE_WEIGHT,
+                          EnumerationBudget(max_wall_s=100.0))
+        assert rep.status == OPTIMAL
+        assert clock.readings - 2 >= 4
+        clock.readings = 0
+        with pytest.raises(SizeCapError):
+            brute_force(inst, OBJECTIVE_WEIGHT,
+                        EnumerationBudget(max_wall_s=2.5))
+        assert clock.readings == 4
 
     @pytest.mark.parametrize("fields", [
         {"max_wall_s": float("nan")}, {"max_wall_s": -1.0},
@@ -296,3 +327,62 @@ class TestPrunedEnumeration:
             "subsets": 64, "enumerated": 1, "feasible": 1}
         assert brute_force(open_).telemetry == {
             "subsets": 16, "enumerated": 16, "feasible": 16}
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunk_size_does_not_change_the_answer(self, monkeypatch, chunk):
+        rng = np.random.default_rng(1311)
+        cases = {
+            # one row: the outer half is empty
+            "1 x n": (rng.random((1, 6)), [0], 1,
+                      (1, 4, (1, 0, 0, 1, 0, 0), 1)),
+            "L_hi = 0 row": (rng.random((3, 3)), [0, 1, 0], 2,
+                             ((0, 0, 1), (2, 0, 3), 0, 2)),
+            # row tables of 4, 16, 6 and 4 masks: the outer half is row 0
+            "unequal rows": (rng.random((4, 4)), [0, 1, 2, 0], 3,
+                             ((1, 0, 2, 3), (1, 4, 2, 3), 1, 3)),
+            "infeasible": (rng.random((3, 3)), [0, 1, 1], 2, (0, 1, 2, 3)),
+            "tied weights": (np.floor(3 * rng.random((3, 4))), [0, 1, 0], 2,
+                             (1, 3, 1, 2)),
+        }
+        answers = {}
+        for chunk_size in (oracle._CHUNK, chunk):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk_size)
+            for name, (weights, clusters, k, bounds) in cases.items():
+                m, n = weights.shape
+                inst = Instance(weights, np.array(clusters), k,
+                                DegreeBounds.broadcast(m, n, *bounds))
+                for objective in (OBJECTIVE_WEIGHT, OBJECTIVE_DIVERSITY):
+                    rep = brute_force(inst, objective)
+                    got = (rep.status, rep.telemetry, None
+                           if rep.matching is None else rep.matching.edges)
+                    assert answers.setdefault((name, objective), got) == got
+        assert [answers[name, OBJECTIVE_WEIGHT][0] for name in cases] == [
+            OPTIMAL, OPTIMAL, OPTIMAL, INFEASIBLE, OPTIMAL]
+
+
+class TestAtTheSubsetCap:
+    """1 x 20 and 20 x 1 instances hold exactly the default subset cap,
+    2^20, and have closed-form weight optima and feasible counts."""
+
+    def test_one_row_of_twenty(self):
+        rng = np.random.default_rng(1409)
+        r_lo = np.array([1, 0] * 10)[rng.permutation(20)]
+        inst = Instance(rng.random((1, 20)) + 0.1, np.array([0]), 1,
+                        DegreeBounds.broadcast(1, 20, 0, 20, r_lo, 1))
+        rep = brute_force(inst, OBJECTIVE_WEIGHT)
+        assert rep.matching.edges == tuple(
+            (0, j) for j in np.flatnonzero(r_lo).tolist())
+        assert rep.telemetry == {"subsets": 1 << 20, "enumerated": 1 << 20,
+                                 "feasible": 1 << int(np.sum(r_lo == 0))}
+
+    def test_one_column_of_twenty(self):
+        rng = np.random.default_rng(1410)
+        weights = (rng.permutation(20) + 1.0).reshape(20, 1)
+        inst = Instance(weights, np.arange(20) % 3, 3,
+                        DegreeBounds.broadcast(20, 1, 0, 1, 3, 7))
+        rep = brute_force(inst, OBJECTIVE_WEIGHT)
+        lightest = sorted(np.argsort(weights[:, 0])[:3].tolist())
+        assert rep.matching.edges == tuple((i, 0) for i in lightest)
+        assert rep.telemetry == {
+            "subsets": 1 << 20, "enumerated": 1 << 20,
+            "feasible": sum(math.comb(20, d) for d in range(3, 8))}

@@ -17,7 +17,7 @@ with no feasible incident edge is a dead end and the solve reports
 infeasible naming the stuck node rather than backtracking.
 
 When no left bound binds (Instance.right_only), right nodes never
-compete for left capacity, so solve_diverse_greedy picks each right
+compete for left capacity, so the construction picks each right
 node's edges on its own, in take rounds: round t prices every right
 node that still owes an edge in one numpy step, one gains column per
 node.  That path selects the same edges, in the same tie-break order,
@@ -35,10 +35,11 @@ from typing import Optional
 import numpy as np
 
 from ._residual import Residual
-from .errors import InternalError
+# check_matching, diversity_cost and total_weight go unused here, but
+# perfbench/tracing.py's PATCHES patches them in this module by name
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
 from .objective import diversity_cost, total_weight
-from .report import FEASIBLE_INCUMBENT, INFEASIBLE, SolveReport
+from .report import FEASIBLE_INCUMBENT, INFEASIBLE, SolveReport, _finish
 
 
 def _pick(res: Residual, side: str, node: int,
@@ -116,6 +117,14 @@ def _per_right_node(inst: Instance) -> tuple[Matching, int]:
     return Matching._trusted(zip(rows, cols)), gain_evaluations
 
 
+def _construct(inst: Instance) -> tuple[Optional[Matching], int, str]:
+    """Greedy's construction, per right node on right_only instances, else
+    in rounds: (matching or None, gain evaluations, dead end)."""
+    if inst.right_only:
+        return (*_per_right_node(inst), "")
+    return _round_based(inst)
+
+
 def solve_diverse_greedy(inst: Instance) -> SolveReport:
     """Greedy minimization of the concentration cost.
 
@@ -125,30 +134,10 @@ def solve_diverse_greedy(inst: Instance) -> SolveReport:
     start = time.perf_counter()
     feasible, why = is_feasible_bounds(inst)
     if not feasible:
-        return SolveReport(
-            algorithm="greedy", status=INFEASIBLE, matching=None,
-            total_weight=None, diversity_cost=None,
-            wall_time=time.perf_counter() - start, diagnostic=why)
-
-    fast = inst.right_only
-    if fast:
-        match, gain_evaluations = _per_right_node(inst)
-    else:
-        match, gain_evaluations, dead_end = _round_based(inst)
-        if match is None:
-            return SolveReport(
-                algorithm="greedy", status=INFEASIBLE, matching=None,
-                total_weight=None, diversity_cost=None,
-                wall_time=time.perf_counter() - start, diagnostic=dead_end,
-                telemetry={"gain_evaluations": gain_evaluations})
-
-    ok, violations = check_matching(inst, match)
-    if not ok:
-        raise InternalError("greedy produced an infeasible matching: "
-                            + "; ".join(violations))
-    return SolveReport(
-        algorithm="greedy", status=FEASIBLE_INCUMBENT, matching=match,
-        total_weight=total_weight(inst, match),
-        diversity_cost=diversity_cost(inst, match),
-        wall_time=time.perf_counter() - start,
-        telemetry={"gain_evaluations": gain_evaluations, "fast_path": fast})
+        return _finish("greedy", inst, start, None, INFEASIBLE, why)
+    match, gain_evaluations, dead_end = _construct(inst)
+    telemetry = {"gain_evaluations": gain_evaluations}
+    if match is not None:
+        telemetry["fast_path"] = inst.right_only
+    return _finish("greedy", inst, start, match, FEASIBLE_INCUMBENT,
+                   dead_end, telemetry)

@@ -161,6 +161,11 @@ class Instance:
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not __setattr__
+        return type(self), (self._weights, self._clusters, self._k,
+                            self._bounds)
+
     @property
     def m(self) -> int:
         return self._weights.shape[0]
@@ -247,14 +252,17 @@ class Matching:
     @classmethod
     def _trusted(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
         """Matching of edges a solver built itself: unique pairs of
-        nonnegative Python ints.  Only sorts them; check_matching still
-        validates every solver's output against its instance."""
+        nonnegative Python ints.  Only sorts them; report._finish still
+        checks every solver's output against its instance."""
         self = object.__new__(cls)
         object.__setattr__(self, "_edges", tuple(sorted(pairs)))
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matching is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._edges,)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -110,7 +110,9 @@ def brute_force(inst: Instance, objective: str = OBJECTIVE_WEIGHT,
 
     start = time.perf_counter()
     b = inst.bounds
-    tables = [_row_table(n, b.l_lo[i], b.l_hi[i]) for i in range(m)]
+    # one table per distinct (L_lo, L_hi) pair; _decode only reads them
+    shared = {pair: _row_table(n, *pair) for pair in set(zip(b.l_lo, b.l_hi))}
+    tables = [shared[pair] for pair in zip(b.l_lo, b.l_hi)]
     radix = [len(t) for t in tables]
     enumerated = math.prod(radix)
     # outer rows: the longest prefix whose product is <= sqrt(enumerated)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .instance import Matching
+from . import instance, objective
+from .errors import InternalError
+from .instance import Instance, Matching
 
 # A solve ends in exactly one of these states.
 OPTIMAL = "optimal"                      # proven best objective
@@ -21,8 +24,9 @@ class SolveReport:
 
     matching is None exactly when the status is infeasible: the bounds
     admit no matching, or greedy dead-ended (the diagnostic says which).
-    Objective values are evaluated from scratch on the returned
-    matching, never copied from solver internals.  telemetry holds
+    Every solver's report is built by _finish, which checks the matching
+    against the bounds and evaluates both objective values from scratch
+    on it, never copying them from solver internals.  telemetry holds
     solver-specific counters (augmentation counts, branch nodes, prune
     counts and the like); keys vary by algorithm.
     """
@@ -56,3 +60,27 @@ class SolveReport:
             "diagnostic": self.diagnostic,
             "telemetry": self.telemetry,
         }
+
+
+def _finish(algorithm: str, inst: Instance, start: float,
+            match: Optional[Matching], status: str, diagnostic: str = "",
+            telemetry: Optional[dict[str, Any]] = None) -> SolveReport:
+    """A solver's report: infeasible when match is None, else status.
+
+    A matching that breaks a bound raises InternalError naming the
+    algorithm; one that passes is costed once.  wall_time runs from
+    start.  The report keeps telemetry itself, not a copy.
+    """
+    weight = cost = None
+    if match is None:
+        status = INFEASIBLE
+    else:
+        ok, violations = instance.check_matching(inst, match)
+        if not ok:
+            raise InternalError(f"{algorithm} returned a matching that "
+                                "violates bounds: " + "; ".join(violations))
+        weight = objective.total_weight(inst, match)
+        cost = objective.diversity_cost(inst, match)
+    return SolveReport(algorithm, status, match, weight, cost,
+                       time.perf_counter() - start, diagnostic,
+                       {} if telemetry is None else telemetry)

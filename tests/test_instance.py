@@ -1,7 +1,9 @@
 """Tests for the instance model: bounds, validation, matchings, file I/O."""
 
+import copy
 import itertools
 import json
+import pickle
 import re
 
 import numpy as np
@@ -405,6 +407,15 @@ class TestCheckMatching:
 
 
 class TestSerialization:
+    def test_pickle_and_copy_round_trip(self):
+        inst = tiny_instance()
+        match = Matching([(0, 1), (2, 0)])
+        for value in (inst, match):
+            for back in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                         copy.deepcopy(value)):
+                assert type(back) is type(value)
+                assert back == value
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

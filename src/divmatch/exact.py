@@ -7,7 +7,8 @@ least n) decompose: right nodes share no binding constraint, and because
 the objective is monotone in edge addition, each right node takes exactly
 its lower bound's worth of edges.  Within one right node and one cluster
 the cheapest t edges are the best t edges, so one dynamic program over
-per-cluster take counts, run for all right nodes at once, is exact.
+per-cluster take counts (_cluster_dp), run for all right nodes at once,
+is exact.
 
 Everything else runs depth-first branch and bound over edge decisions.
 A search node fixes some edges in and some out.  The whole search works
@@ -45,16 +46,32 @@ each kept child's branch edge (the heaviest usable edge at an owing
 right node, else at an owing left node).  The matrices are rebuilt from
 the residual state at each expansion, never stored on the stack.
 
+Before the search, a Lagrangian bound prices what the completion bound
+leaves out: how the left degree bounds interact.  Multipliers move the
+left bounds into the objective, which leaves one subproblem per right
+node, solved exactly by enumerating each cluster's member subsets (up
+to SUBSET_CAP members) and running _cluster_dp, the right-constrained
+route's dynamic program, with each edge's multiplier added.  Projected
+subgradient steps raise the bound toward the best cost known.  A
+subproblem solution that meets every left bound is a feasible matching,
+and it replaces the incumbent when its fresh cost is lower.  The bound
+runs once, at the root, and only if root pricing leaves the root open;
+the search then stops as soon as the incumbent is within PRUNE_TOL of
+it, so most proofs close at the root with no node expanded.
+
 The search is anytime: a greedy warm start seeds the incumbent and a
-millisecond budget stops the search early with the best incumbent.
-Every subtree not yet searched hangs off a node on the stack, so the
-smallest bound left there (capped by the pruning cutoff) is a certified
-lower bound on the optimum; telemetry reports it as lower_bound, with
-the relative gap to the returned cost.
+millisecond budget stops the Lagrangian steps and the search early with
+the best incumbent.  Every subtree not yet searched hangs off a node on
+the stack, so the smallest bound left there (capped by the pruning
+cutoff), or the Lagrangian bound where it is higher, is a certified
+lower bound on the optimum; telemetry reports it, capped by the
+incumbent's cost, as lower_bound, with the relative gap to the returned
+cost.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Optional
@@ -73,6 +90,11 @@ from .report import FEASIBLE_INCUMBENT, INFEASIBLE, OPTIMAL, SolveReport, _finis
 
 # relative to the incumbent's cost, so every weight scale prunes alike
 PRUNE_TOL = 1e-9
+# the Lagrangian bound enumerates every member subset of each cluster,
+# so it refuses a cluster above this many members (2^14 subsets)
+SUBSET_CAP = 14
+# subgradient steps at most per Lagrangian bound
+LAGRANGIAN_ITERATIONS = 300
 
 
 def warm_start(inst: Instance) -> Optional[Matching]:
@@ -86,11 +108,47 @@ def warm_start(inst: Instance) -> Optional[Matching]:
     return solve_min_weight(inst).matching if match is None else match
 
 
+def _cluster_dp(tables: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each right node's cheapest count in [lo, hi], and each cluster's share.
+
+    tables[c, j, t - 1] is what right node j pays for cluster c's
+    cheapest t members, for t up to top = max(hi), infinite where c has
+    fewer.  dp[j, t] is right node j's cheapest cost of t members from
+    the clusters so far; each cluster's min-plus step runs for every
+    right node at once.  Returns best[j], infinite where no count in
+    range is reachable, and takes[c, j], cluster c's share of it; ties
+    go to the fewest taken, in all and then per cluster.
+    """
+    k, n, top = tables.shape
+    cols, span = np.arange(n), np.arange(top + 1)
+    # padded[j, top + t] = dp[j, t], infinite below t = 0, so that
+    # padded[:, shift] is the (j, take, t) array of dp[j, t - take]
+    padded = np.full((n, 2 * top + 1), math.inf)
+    padded[:, top] = 0.0
+    shift = top + span - span[:, None]
+    steps = []
+    for sq in tables[..., None]:
+        cand = padded[:, shift]
+        cand[:, 1:] += sq
+        steps.append(cand.argmin(axis=1))  # ties to the fewest taken
+        padded[:, top:] = cand.min(axis=1)
+    dp = np.where((span >= lo[:, None]) & (span <= hi[:, None]),
+                  padded[:, top:], math.inf)
+    t = dp.argmin(axis=1)
+    best = dp[cols, t]
+    takes = np.empty((k, n), dtype=np.int64)
+    for c in range(k - 1, -1, -1):
+        takes[c] = steps[c][cols, t]
+        t = t - takes[c]
+    return best, takes
+
+
 def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
     """Per-right-node exact optimum of a right_only instance, and its cost.
 
-    dp[j, t] is right node j's cheapest cost of t edges from the clusters
-    so far; each cluster's step runs for every right node at once.
+    Each cluster's cheapest t members at a column are its t lightest
+    there, so one sort per column prices them all for _cluster_dp.
     """
     demand = np.array(inst.bounds.r_lo)
     w, n, top = inst.weights, inst.n, int(demand.max())
@@ -105,29 +163,152 @@ def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
     lefts = order[np.minimum(start[:, None] + rank, inst.m - 1)]
     squares = np.cumsum(w[lefts, cols], axis=1) ** 2
     squares[rank >= sizes[:, None]] = math.inf
-    # padded[j, top + t] = dp[j, t], infinite below t = 0, so that
-    # padded[:, shift] is the (j, take, t) array of dp[j, t - take]
-    padded = np.full((n, 2 * top + 1), math.inf)
-    padded[:, top] = 0.0
-    shift = top + np.arange(top + 1) - np.arange(top + 1)[:, None]
-    takes = []
-    for sq in squares.transpose(0, 2, 1)[..., None]:
-        cand = padded[:, shift]
-        cand[:, 1:] += sq
-        takes.append(cand.argmin(axis=1))  # ties to the fewest taken
-        padded[:, top:] = cand.min(axis=1)
-    best = padded[cols, top + demand]
+    best, takes = _cluster_dp(squares.transpose(0, 2, 1), demand, demand)
     if np.isinf(best).any():
         j = int(np.argmax(np.isinf(best)))
         raise InternalError(f"right node {j} cannot meet demand "
                             f"{demand[j]} with {inst.m} left nodes")
-    edges, t = [], demand
-    for c in range(inst.k - 1, -1, -1):
-        take = takes[c][cols, t]
+    edges = []
+    for c, take in enumerate(takes):
         sel = rank[:, None] < take
         edges += zip(lefts[c][sel].tolist(), np.nonzero(sel)[1].tolist())
-        t = t - take
     return Matching._trusted(edges), sum(best.tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every subset of size members, fewest members first: its bit mask,
+    its row of member flags, and the row where each member count starts.
+
+    The tables depend on the size alone, so each is built once and
+    shared read-only.
+    """
+    bits = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1
+    count = bits.sum(axis=1)
+    masks = np.argsort(count, kind="stable")
+    flags = bits[masks].astype(bool)
+    starts = np.searchsorted(count[masks], np.arange(size + 1))
+    for table in (masks, flags, starts):
+        table.flags.writeable = False
+    return masks, flags, starts
+
+
+def _lagrangian(inst: Instance, target: float, deadline: Optional[float]
+                ) -> tuple[Optional[float], Optional[Matching], float, int]:
+    """Lagrangian lower bound that prices the left degree bounds.
+
+    Multipliers y >= 0, one per left bound (deg_i <= L_hi[i], then
+    deg_i >= L_lo[i]), move the left bounds into the objective.  What is
+    left splits into one subproblem per right node j: between R_lo[j]
+    and R_hi[j] edges, paying the squared cluster sums plus
+    pi_i = y_hi[i] - y_lo[i] per edge (i, j).  Each cluster's member
+    subsets are enumerated, the cheapest of each size kept, and
+    _cluster_dp combines the clusters, so every subproblem is solved
+    exactly and the sum of their costs, less y_hi . L_hi and plus
+    y_lo . L_lo, is a lower bound for any y >= 0.  y = 0 is the first
+    iterate, the bound that drops the left bounds.
+
+    y follows projected Polyak steps toward the goal, the lower of
+    target (the incumbent's cost) and the best primal: scale 2, halved
+    after 5 iterations without a better bound.  A subproblem solution
+    that meets every left bound is a feasible matching, a primal, kept
+    on its fresh cost.  The loop stops when the bound reaches the goal
+    less PRUNE_TOL, when the projected subgradient is zero (the
+    solution is then optimal), after LAGRANGIAN_ITERATIONS, or when the
+    deadline has passed; the deadline is read before every iteration.
+
+    Returns (best bound, best primal, its cost, iterations): the bound
+    is None where a cluster has more than SUBSET_CAP members or no
+    iteration ran, and the primal None (cost inf) where none was found.
+    """
+    members = [np.flatnonzero(inst.clusters == c) for c in range(inst.k)]
+    sizes = [len(mem) for mem in members]
+    if max(sizes) > SUBSET_CAP:
+        return None, None, math.inf, 0
+    b, m = inst.bounds, inst.m
+    r_lo, r_hi = np.array(b.r_lo), np.array(b.r_hi)
+    top = int(r_hi.max())
+    # the subgradient is (deg, -deg) + offset, and the bound's own term
+    # is y . offset
+    offset = np.concatenate((-np.array(b.l_hi), b.l_lo)).astype(float)
+    # one flat row per (cluster, member subset), each cluster's rows in
+    # blocks of one subset size: pick[r] flags the subset's left nodes
+    subsets = [_subsets(size) for size in sizes]
+    rows = 1 << np.array(sizes)
+    cluster_start = np.cumsum(rows) - rows
+    pick = np.zeros((rows.sum(), m), dtype=bool)
+    # each subset's summed weight per right node, its members added in
+    # index order: no BLAS call, so every machine rounds alike
+    sums = np.empty((len(pick), inst.n))
+    for mem, (masks, flags, _), r0 in zip(members, subsets,
+                                          cluster_start.tolist()):
+        pick[r0:r0 + len(masks), mem] = flags
+        by_mask = np.zeros((len(masks), inst.n))
+        for bit, i in enumerate(mem.tolist()):
+            by_mask[1 << bit:2 << bit] = by_mask[:1 << bit] + inst.weights[i]
+        sums[r0:r0 + len(masks)] = by_mask[masks]
+    squares = sums * sums
+    block_start = np.concatenate([r0 + starts for r0, (_, _, starts)
+                                  in zip(cluster_start, subsets)])
+    row_block = np.repeat(np.arange(len(block_start)),
+                          np.diff(block_start, append=len(pick)))
+    row_cluster = np.repeat(np.arange(inst.k), rows)
+    row_ids, cols = np.arange(len(pick))[:, None], np.arange(inst.n)
+    lefts = np.arange(m)[:, None]
+    # cluster c's size-t block is block block_first[c] + t, and its
+    # minima fill _cluster_dp's tables[c, :, t - 1]
+    block_first = np.cumsum(sizes) + np.arange(inst.k) - sizes
+    fill_c, fill_t = np.array([(c, t) for c in range(inst.k)
+                               for t in range(1, min(sizes[c], top) + 1)],
+                              dtype=np.int64).reshape(-1, 2).T
+    fill_block = block_first[fill_c] + fill_t
+    tables = np.full((inst.k, inst.n, top), math.inf)
+    y = np.zeros(2 * m)
+    best, primal, value = -math.inf, None, math.inf
+    scale, stall, iterations = 2.0, 0, 0
+    while iterations < LAGRANGIAN_ITERATIONS:
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        iterations += 1
+        penalty = np.where(pick, y[:m] - y[m:], 0.0).sum(axis=1)
+        cost = squares + penalty[:, None]
+        mins = np.minimum.reduceat(cost, block_start, axis=0)
+        tables[fill_c, :, fill_t - 1] = mins[fill_block]
+        sub, takes = _cluster_dp(tables, r_lo, r_hi)
+        bound = math.fsum(sub.tolist()) + float((y * offset).sum())
+        # each (cluster, right node)'s subset: the first row of the
+        # chosen size block that reaches the block's minimum
+        chosen = block_first[:, None] + takes
+        hit = ((row_block[:, None] == chosen[row_cluster])
+               & (cost == mins[row_block]))
+        choice = np.minimum.reduceat(np.where(hit, row_ids, len(pick)),
+                                     cluster_start, axis=0)
+        x = pick[choice[inst.clusters], lefts]
+        deg = x.sum(axis=1)
+        grad = np.concatenate((deg, -deg)) + offset
+        goal = min(target, value)
+        # a primal is costed afresh only if its own squares beat the goal
+        if (not (grad > 0).any()
+                and float(squares[choice, cols].sum()) < goal):
+            rows_i, cols_j = np.nonzero(x)
+            match = Matching._trusted(zip(rows_i.tolist(), cols_j.tolist()))
+            fresh = diversity_cost(inst, match)
+            if fresh < value:
+                primal, value = match, fresh
+        if bound > best:
+            best, stall = bound, 0
+        else:
+            stall += 1
+            if stall == 5:
+                scale, stall = scale / 2, 0
+        # a multiplier at zero does not move down: project its step out
+        grad[(y == 0) & (grad < 0)] = 0.0
+        norm = float(grad @ grad)
+        goal = min(goal, value)
+        if best >= goal - PRUNE_TOL * goal or norm == 0:
+            break
+        y = np.maximum(y + scale * (goal - bound) / norm * grad, 0.0)
+    return (best if iterations else None), primal, value, iterations
 
 
 class _Pricer:
@@ -266,6 +447,16 @@ def _branch_and_bound(inst: Instance, start: float,
     res, n = Residual(inst), inst.n
     pricer = _Pricer(res)
     root = pricer.price(0.0, cutoff, 0)[0]
+    lagrangian, iterations = None, 0
+    if root is not None:
+        lagrangian, primal, value, iterations = _lagrangian(inst, best_value,
+                                                            deadline)
+        if value < best_value:
+            best_value = tracked = value
+            cutoff = best_value - PRUNE_TOL * best_value
+            incumbent = primal
+            updates.append((time.perf_counter() - start, value))
+    floor = -math.inf if lagrangian is None else lagrangian
     expanded, pruned, peak_depth = 0, int(root is None), 0
     # open nodes as (bound, committed, depth, edge, take, branch): edge
     # (flat i * n + j, -1 at the root) is taken or forbidden on the way
@@ -275,7 +466,8 @@ def _branch_and_bound(inst: Instance, start: float,
     taken = 0  # edges taken along the trail
     timed_out = False
 
-    while stack:
+    # the search ends once the incumbent meets the Lagrangian bound
+    while stack and cutoff > floor:
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             break
@@ -320,10 +512,14 @@ def _branch_and_bound(inst: Instance, start: float,
             children.reverse()
         stack.extend(children)
 
-    lower_bound = min([cutoff] + [node[0] for node in stack])
+    # capped by the incumbent's cost: a bound rounded a few ulps above
+    # the optimum cannot make the gap negative
+    lower_bound = min(max(min([cutoff] + [node[0] for node in stack]), floor),
+                      best_value)
     return incumbent, tracked, lower_bound, timed_out, {
         "fast_path": False, "expanded": expanded, "pruned": pruned,
-        "peak_depth": peak_depth, "incumbent_updates": updates}
+        "peak_depth": peak_depth, "incumbent_updates": updates,
+        "lagrangian_iterations": iterations, "lagrangian_bound": lagrangian}
 
 
 def solve_diverse_exact(inst: Instance,
@@ -334,11 +530,11 @@ def solve_diverse_exact(inst: Instance,
     (telemetry fast_path True); all others branch and bound.  Completes
     with status optimal, or returns the best incumbent as
     feasible_incumbent when budget_ms elapses first.  The budget is
-    checked between search nodes only, so the warm start always runs and
-    a feasible instance always gets a matching; a negative, NaN or bool
-    budget raises ConfigError.  Telemetry lower_bound is a certified
-    floor on the optimum and gap the returned cost's relative distance
-    above it.
+    checked before every Lagrangian step and between search nodes only,
+    so the warm start and root pricing always run and a feasible
+    instance always gets a matching; a negative, NaN or bool budget
+    raises ConfigError.  Telemetry lower_bound is a certified floor on
+    the optimum and gap the returned cost's relative distance above it.
     """
     if isinstance(budget_ms, bool) or budget_ms is not None and not budget_ms >= 0:
         raise ConfigError(
@@ -353,7 +549,8 @@ def solve_diverse_exact(inst: Instance,
         incumbent, tracked = _solve_right_constrained(inst)
         lower_bound, timed_out = None, False
         telemetry = {"fast_path": True, "expanded": 0, "pruned": 0,
-                     "peak_depth": 0, "incumbent_updates": []}
+                     "peak_depth": 0, "incumbent_updates": [],
+                     "lagrangian_iterations": 0, "lagrangian_bound": None}
     else:
         incumbent, tracked, lower_bound, timed_out, telemetry = (
             _branch_and_bound(inst, start, deadline))

@@ -195,19 +195,42 @@ def scaled_instance(cfg, scale):
     return Instance(inst.weights * scale, inst.clusters, inst.k, inst.bounds)
 
 
+# bnb-proof-shaped 8x6 seeds whose root the Lagrangian bound leaves open
+# (300 steps, no proof) and whose search then accepts a leaf better than
+# the bound's best primal
+SEARCHED = [(4507, 8, 6, 3, 65), (4507, 8, 6, 4, 118), (11, 8, 6, 3, 28)]
+
+
+def searched_config(seed):
+    return GeneratorConfig(m=8, n=6, k=seed[3], l_lo=1, l_hi=6, r_lo=2,
+                           r_hi=8, seed=seed)
+
+
 class TestWeightScale:
     # The pruning tolerance must scale with the costs: an absolute one
-    # prunes every node at small weights and returns the warm start as
-    # optimal.
+    # prunes every node and stops the Lagrangian steps at small weights,
+    # and returns the warm start as optimal.
     def test_tiny_weights_match_brute_force(self):
         inst = scaled_instance(GeneratorConfig(
             m=4, n=4, k=2, l_lo=1, l_hi=4, r_lo=2, seed=(5, 0)), 1e-6)
         rep = solve_diverse_exact(inst)
         oracle = brute_force(inst, OBJECTIVE_DIVERSITY)
         assert rep.status == OPTIMAL
-        assert rep.telemetry["expanded"] > 0
+        start = diversity_cost(inst, warm_start(inst))
+        assert start > 1.1 * oracle.diversity_cost
         np.testing.assert_allclose(rep.diversity_cost, oracle.diversity_cost,
                                    rtol=1e-9, atol=0)
+        # an instance whose root the Lagrangian bound leaves open, so the
+        # search itself runs at tiny weights
+        cfg = searched_config(SEARCHED[0])
+        base = solve_diverse_exact(gen_instance(cfg))
+        rep = solve_diverse_exact(scaled_instance(cfg, 1e-6))
+        assert rep.status == OPTIMAL
+        assert rep.telemetry["expanded"] == base.telemetry["expanded"] > 0
+        assert rep.matching == base.matching
+        np.testing.assert_allclose(rep.diversity_cost,
+                                   1e-12 * base.diversity_cost, rtol=1e-9,
+                                   atol=0)
 
     def test_scaled_weights_scale_the_optimum(self):
         cfg = GeneratorConfig(m=12, n=8, k=4, l_lo=1, l_hi=8, r_lo=3,
@@ -257,31 +280,72 @@ class TestAnytimeBudget:
 
 
 class TestCertifiedBound:
+    # run_scaling's 50x10 shape at seed (23, 50), k = 5, clusters of 6 to
+    # 14 members; its optimum, proven by one unbudgeted solve in 92
+    # Lagrangian steps (about 1 s here).
+    SCALING_50 = GeneratorConfig(m=50, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
+                                 r_hi=50, seed=(23, 50))
+    OPTIMUM_50 = 0.8653686568023496
+
     def test_budgeted_bound_brackets_the_optimum(self):
-        # Proven optimum of this instance from one unbudgeted solve.
-        optimum = 2.395660095501542
-        inst = gen_instance(GeneratorConfig(m=10, n=10, k=3, l_lo=1,
-                                            l_hi=10, r_lo=3, seed=(1, 10)))
-        rep = solve_diverse_exact(inst, budget_ms=300)
+        # The budget stops the Lagrangian steps early: the deadline is
+        # read before each step, so the solve overruns it by at most one
+        # step (a few ms here), and the bound so far is still certified.
+        inst = gen_instance(self.SCALING_50)
+        rep = solve_diverse_exact(inst, budget_ms=150)
         assert rep.status == FEASIBLE_INCUMBENT
+        assert 0 < rep.telemetry["lagrangian_iterations"] < 92
+        assert rep.wall_time < 1.0
         bound = rep.telemetry["lower_bound"]
-        assert bound <= optimum <= rep.diversity_cost
+        assert bound <= self.OPTIMUM_50 <= rep.diversity_cost
         np.testing.assert_allclose(
             rep.telemetry["gap"],
             (rep.diversity_cost - bound) / rep.diversity_cost, rtol=1e-12)
 
-
     def test_zero_budget_reports_the_root_bound(self):
         # The root is priced before the search starts, so a budget that
-        # stops it before the first expansion still certifies a floor.
+        # stops it before the first Lagrangian step and the first
+        # expansion still certifies root pricing's floor.
         optimum = 2.395660095501542
         inst = gen_instance(GeneratorConfig(m=10, n=10, k=3, l_lo=1,
                                             l_hi=10, r_lo=3, seed=(1, 10)))
         rep = solve_diverse_exact(inst, budget_ms=0)
         assert rep.status == FEASIBLE_INCUMBENT
         assert rep.telemetry["expanded"] == 0
-        assert 0.0 < rep.telemetry["lower_bound"] <= optimum
+        assert rep.telemetry["lagrangian_iterations"] == 0
+        assert rep.telemetry["lagrangian_bound"] is None
+        root = exact._Pricer(Residual(inst)).price(0.0, math.inf, 0)[0][0]
+        assert rep.telemetry["lower_bound"] == root
+        assert 0.0 < root <= optimum
         assert rep.telemetry["gap"] < 1.0
+
+    def test_lagrangian_bound_certifies_run_scaling_shapes(self):
+        # Before the bound, a 5 s search left a 34.6% gap at 25x10 and
+        # 19.9% at 50x10 (seed 23).  Both shapes now close at the root.
+        inst = gen_instance(GeneratorConfig(m=25, n=10, k=5, l_lo=1, l_hi=10,
+                                            r_lo=3, r_hi=25, seed=(7, 25)))
+        rep = solve_diverse_exact(inst, budget_ms=2000)
+        assert rep.status == OPTIMAL or rep.telemetry["gap"] <= 0.03
+        assert rep.telemetry["lower_bound"] <= rep.diversity_cost
+        assert rep.telemetry["lagrangian_bound"] is not None
+        # the budget only keeps a failing proof from running on
+        rep = solve_diverse_exact(gen_instance(self.SCALING_50),
+                                  budget_ms=20000)
+        assert rep.status == OPTIMAL
+        assert rep.telemetry["expanded"] == 0
+        assert rep.diversity_cost == pytest.approx(self.OPTIMUM_50, rel=1e-12)
+
+    def test_clusters_above_the_cap_skip_the_lagrangian(self):
+        # 100x10 has clusters of 16 to 25 members: 2^16 subsets or more
+        # per cluster are refused, and the search runs as before.
+        inst = gen_instance(GeneratorConfig(m=100, n=10, k=5, l_lo=1,
+                                            l_hi=10, r_lo=3, r_hi=100,
+                                            seed=(7, 100)))
+        assert np.bincount(inst.clusters).max() > exact.SUBSET_CAP
+        rep = solve_diverse_exact(inst, budget_ms=50)
+        assert rep.telemetry["lagrangian_iterations"] == 0
+        assert rep.telemetry["lagrangian_bound"] is None
+        assert rep.telemetry["expanded"] > 0
 
     @pytest.mark.parametrize("seed", [7, 23])
     def test_bound_is_below_every_cost_found_at_scale(self, seed):
@@ -489,52 +553,67 @@ class TestCompletionBound:
 
 
 # 8x6 instances shaped like the bnb-proof benchmark workload, seed
-# (4507, t), k = 3 + t % 2: the optimum's edges as flat i * 6 + j,
-# nodes expanded and pruned, and the lower bound, from the search as it
-# stood before pricing was batched per expansion.
+# (4507, t), k = 3 + t % 2: the optimum's edges as flat i * 6 + j, from
+# the search as it stood before pricing was batched per expansion; nodes
+# expanded and pruned, Lagrangian steps and the lower bound, recorded
+# once the root Lagrangian bound came in.  It closes every root but
+# trial 11's, which root pricing prunes, with no node expanded (the
+# search expanded 47 to 342 nodes per trial before).
 PINNED_SEARCHES = [
-    ((0, 6, 13, 14, 15, 19, 28, 29, 34, 35, 38, 39, 42), 82, 79,
-     0.4303474702629465),
-    ((0, 5, 6, 8, 13, 21, 22, 26, 31, 35, 39, 46), 130, 125,
-     0.40498442856860034),
-    ((2, 7, 12, 13, 16, 20, 27, 29, 33, 36, 41, 46), 158, 155,
-     0.5563623241565854),
-    ((1, 9, 17, 18, 19, 22, 23, 24, 26, 33, 38, 46), 92, 89,
-     0.6644368753725483),
-    ((4, 6, 8, 16, 18, 23, 25, 29, 31, 39, 44, 45), 92, 89,
-     1.2848723553866708),
-    ((1, 8, 11, 12, 20, 21, 22, 27, 28, 29, 30, 36, 43), 70, 69,
-     0.5815920378914733),
-    ((2, 7, 14, 15, 16, 18, 19, 21, 28, 35, 36, 47), 342, 337,
-     1.1533842886488104),
-    ((3, 8, 12, 22, 28, 30, 31, 32, 33, 35, 41, 43), 118, 115,
-     1.3565415766400837),
-    ((2, 9, 10, 17, 18, 24, 25, 26, 29, 31, 40, 45), 49, 48,
-     0.3946507657759296),
-    ((0, 2, 3, 7, 15, 23, 24, 34, 35, 38, 40, 43), 55, 54,
-     0.7192946787490777),
-    ((2, 4, 5, 6, 9, 17, 22, 25, 27, 32, 36, 43), 107, 102,
-     0.4211311137715015),
-    ((1, 4, 8, 17, 19, 21, 24, 33, 36, 38, 40, 47), 0, 1,
+    ((0, 6, 13, 14, 15, 19, 28, 29, 34, 35, 38, 39, 42), 0, 0, 16,
+     0.43034747069329393),
+    ((0, 5, 6, 8, 13, 21, 22, 26, 31, 35, 39, 46), 0, 0, 25,
+     0.4049844289735848),
+    ((2, 7, 12, 13, 16, 20, 27, 29, 33, 36, 41, 46), 0, 0, 32,
+     0.5563623247129477),
+    ((1, 9, 17, 18, 19, 22, 23, 24, 26, 33, 38, 46), 0, 0, 25,
+     0.6644368760369851),
+    ((4, 6, 8, 16, 18, 23, 25, 29, 31, 39, 44, 45), 0, 0, 21,
+     1.2848723566715432),
+    ((1, 8, 11, 12, 20, 21, 22, 27, 28, 29, 30, 36, 43), 0, 0, 21,
+     0.5815920384730653),
+    ((2, 7, 14, 15, 16, 18, 19, 21, 28, 35, 36, 47), 0, 0, 10,
+     1.1533842898021947),
+    ((3, 8, 12, 22, 28, 30, 31, 32, 33, 35, 41, 43), 0, 0, 29,
+     1.3565415779966252),
+    ((2, 9, 10, 17, 18, 24, 25, 26, 29, 31, 40, 45), 0, 0, 6,
+     0.39465076617058037),
+    ((0, 2, 3, 7, 15, 23, 24, 34, 35, 38, 40, 43), 0, 0, 13,
+     0.7192946794683724),
+    ((2, 4, 5, 6, 9, 17, 22, 25, 27, 32, 36, 43), 0, 0, 8,
+     0.4211311141926326),
+    ((1, 4, 8, 17, 19, 21, 24, 33, 36, 38, 40, 47), 0, 1, 0,
      0.661178298104564),
-    ((4, 11, 16, 18, 27, 31, 32, 33, 36, 37, 38, 47), 60, 59,
-     0.7700308968474707),
-    ((0, 2, 4, 11, 16, 19, 20, 24, 27, 31, 41, 45), 47, 48,
-     0.7323745989142544),
-    ((5, 10, 13, 14, 22, 24, 30, 33, 35, 37, 44, 45), 112, 109,
-     0.4938416214029276),
-    ((1, 6, 11, 13, 20, 21, 26, 34, 36, 39, 40, 47), 58, 57,
-     0.366840484377799),
+    ((4, 11, 16, 18, 27, 31, 32, 33, 36, 37, 38, 47), 0, 0, 7,
+     0.7700308976175017),
+    ((0, 2, 4, 11, 16, 19, 20, 24, 27, 31, 41, 45), 0, 0, 3,
+     0.732374599646629),
+    ((5, 10, 13, 14, 22, 24, 30, 33, 35, 37, 44, 45), 0, 0, 7,
+     0.49384162189676917),
+    ((1, 6, 11, 13, 20, 21, 26, 34, 36, 39, 40, 47), 0, 0, 18,
+     0.3668404847446395),
+]
+
+# SEARCHED's optima as flat i * 6 + j, the search's counters, and the
+# lower bound: the pruning cutoff, above the Lagrangian bound left after
+# 300 steps
+PINNED_OPEN_SEARCHES = [
+    ((4, 7, 8, 17, 19, 21, 27, 30, 32, 40, 41, 42), 136, 135,
+     0.814418180422677),
+    ((0, 10, 11, 14, 15, 16, 20, 24, 31, 33, 37, 47), 172, 169,
+     0.3326658399238992),
+    ((1, 3, 11, 16, 18, 21, 24, 26, 29, 31, 38, 46), 157, 156,
+     0.8643266944551863),
 ]
 
 
 class TestPinnedSearch:
-    # Pricing must not change the search: the same nodes are expanded
-    # and pruned in the same order, so every counter and the bound read
-    # off the stack match to the last bit.
+    # Neither pricing nor the root bound may change the search: the same
+    # nodes are expanded and pruned in the same order, so every counter
+    # and the lower bound match to the last bit.
     @pytest.mark.parametrize("trial", range(len(PINNED_SEARCHES)))
     def test_counters_match_the_recorded_search(self, trial):
-        edges, expanded, pruned, lower_bound = PINNED_SEARCHES[trial]
+        edges, expanded, pruned, steps, lower_bound = PINNED_SEARCHES[trial]
         inst = gen_instance(GeneratorConfig(
             m=8, n=6, k=3 + trial % 2, l_lo=1, l_hi=6, r_lo=2, r_hi=8,
             seed=(4507, trial)))
@@ -543,11 +622,29 @@ class TestPinnedSearch:
         assert tuple(i * 6 + j for i, j in rep.matching.edges) == edges
         assert rep.telemetry["expanded"] == expanded
         assert rep.telemetry["pruned"] == pruned
+        assert rep.telemetry["lagrangian_iterations"] == steps
+        assert rep.telemetry["lower_bound"] == lower_bound
+
+    @pytest.mark.parametrize("trial", range(len(SEARCHED)))
+    def test_counters_match_where_the_root_stays_open(self, trial):
+        edges, expanded, pruned, lower_bound = PINNED_OPEN_SEARCHES[trial]
+        rep = solve_diverse_exact(gen_instance(searched_config(
+            SEARCHED[trial])))
+        assert rep.status == OPTIMAL
+        assert tuple(i * 6 + j for i, j in rep.matching.edges) == edges
+        assert rep.telemetry["lagrangian_iterations"] == \
+            exact.LAGRANGIAN_ITERATIONS
+        assert rep.telemetry["lagrangian_bound"] < lower_bound
+        assert rep.telemetry["expanded"] == expanded
+        assert rep.telemetry["pruned"] == pruned
         assert rep.telemetry["lower_bound"] == lower_bound
 
     def test_counter_totals_where_side_totals_bind(self):
         # Per-node bounds, where the counting check's side totals prune
         # too; totals over the searched instances, recorded likewise.
+        # Root pricing prunes 70 of the 189 roots and the Lagrangian
+        # bound closes the other 119 (1,771 nodes expanded and 1,830
+        # pruned before it).
         rng = np.random.default_rng(462)
         searched = expanded = pruned = 0
         for _ in range(300):
@@ -559,18 +656,18 @@ class TestPinnedSearch:
             searched += 1
             expanded += rep.telemetry["expanded"]
             pruned += rep.telemetry["pruned"]
-        assert (searched, expanded, pruned) == (189, 1771, 1830)
+        assert (searched, expanded, pruned) == (189, 0, 70)
 
     def test_drifting_tracked_cost_raises(self, monkeypatch):
         # The search tracks an accepted leaf's cost by adding gains along
         # its path; a gain off by a relative 1e-6 must trip the drift
-        # check against the fresh cost.  Trial 0's search improves on its
-        # warm start, so a leaf is accepted.
+        # check against the fresh cost.  The search of SEARCHED[0]
+        # improves on the Lagrangian bound's primal, so a leaf is
+        # accepted.
         gain = ClusterSums.gain
         monkeypatch.setattr(ClusterSums, "gain",
                             lambda self, i, j: gain(self, i, j) * (1 + 1e-6))
-        inst = gen_instance(GeneratorConfig(
-            m=8, n=6, k=3, l_lo=1, l_hi=6, r_lo=2, r_hi=8, seed=(4507, 0)))
+        inst = gen_instance(searched_config(SEARCHED[0]))
         with pytest.raises(InternalError, match="drifted"):
             solve_diverse_exact(inst)
 
@@ -596,11 +693,12 @@ class TestPinnedSearch:
 
 class TestPeakDepth:
     def test_bounds_the_path_to_every_incumbent(self):
-        # A search incumbent is a leaf whose path took each of its edges
-        # by one decision, so the deepest path is at least that long; no
-        # path decides an edge twice.
+        # No path decides an edge twice.  A search incumbent is a leaf
+        # whose path took each of its edges by one decision, so the
+        # deepest path is at least that long; on SEARCHED the answer is
+        # such a leaf, neither the warm start nor the Lagrangian bound's
+        # primal.
         rng = np.random.default_rng(461)
-        from_search = 0
         for _ in range(60):
             inst = random_instance(rng, max_m=5, max_n=5, max_cells=20)
             rep = solve_diverse_exact(inst)
@@ -610,10 +708,15 @@ class TestPeakDepth:
             assert 0 <= depth <= inst.m * inst.n
             if rep.telemetry["fast_path"]:
                 assert depth == 0
-            elif len(rep.telemetry["incumbent_updates"]) > 1:
-                assert depth >= len(rep.matching)
-                from_search += 1
-        assert from_search >= 5
+        for seed in SEARCHED:
+            inst = gen_instance(searched_config(seed))
+            rep = solve_diverse_exact(inst)
+            start = warm_start(inst)
+            primal = exact._lagrangian(inst, diversity_cost(inst, start),
+                                       None)[1]
+            assert rep.matching not in (start, primal)
+            assert inst.m * inst.n >= rep.telemetry["peak_depth"] \
+                >= len(rep.matching)
 
     def test_root_only_search_has_depth_zero(self):
         # The pinned trial whose root is pruned expands nothing.
@@ -703,6 +806,84 @@ class TestSumsDrift:
                                    rtol=0, atol=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def tail_draws():
+    """The 1,500 draws of the exact solver's tail sequence: draw t is the
+    t-th call of random_instance on one generator, up to 8x8 and k = 3,
+    per-node bounds on odd t."""
+    rng = np.random.default_rng(20261020)
+    return tuple(random_instance(rng, max_m=8, max_n=8, max_k=3,
+                                 max_cells=64, per_node=t % 2 == 1)
+                 for t in range(1500))
+
+
+# The 20 two-sided feasible draws that a 2 s branch and bound did not
+# prove before the Lagrangian bound; 107, 666 and 1134 took 1.9, 11 and
+# 3 million nodes unbudgeted (minutes each).
+TAIL = (51, 107, 122, 173, 220, 310, 378, 428, 666, 705, 735, 766, 889, 992,
+        1024, 1134, 1293, 1315, 1333, 1402)
+# proven optima
+TAIL_OPTIMA = {107: 13.663150602203139, 1134: 8.84777494000667}
+# run on a budget with a gap ceiling: the bound meets 1024's and 1402's
+# optimum only to 7e-10 and 1e-9 relative, at the pruning tolerance
+TAIL_BUDGETED = (1024, 1333, 1402)
+
+
+class TestTail:
+    # Every tail draw now closes at the root: the Lagrangian bound meets
+    # an incumbent (greedy's or its own primal) within PRUNE_TOL, in 1
+    # to 125 steps and about 10 ms.
+    @pytest.mark.parametrize("t", TAIL)
+    def test_tail_draw_closes_at_the_root(self, t):
+        inst = tail_draws()[t]
+        if t in TAIL_BUDGETED:
+            rep = solve_diverse_exact(inst, budget_ms=2000)
+            assert rep.status in (OPTIMAL, FEASIBLE_INCUMBENT)
+            assert rep.telemetry["gap"] <= 1e-3
+        else:
+            rep = solve_diverse_exact(inst)
+            assert rep.status == OPTIMAL
+            assert rep.telemetry["expanded"] == 0
+        assert not inst.right_only
+        assert rep.telemetry["lagrangian_iterations"] > 0
+        assert rep.telemetry["lower_bound"] <= rep.diversity_cost
+        if t in TAIL_OPTIMA:
+            assert rep.diversity_cost == pytest.approx(TAIL_OPTIMA[t],
+                                                       rel=1e-12)
+
+
+class TestLagrangianBound:
+    def test_below_the_oracle_optimum_and_primals_feasible(self):
+        # Small two-sided instances, half with per-node bounds: the bound
+        # never exceeds the oracle's optimum, and a primal is a feasible
+        # matching whose reported cost is its fresh one.
+        rng = np.random.default_rng(471)
+        budget = EnumerationBudget(max_subsets=1 << 16, max_wall_s=120.0)
+        seen = {"bound": 0, "primal": 0, "meets optimum": 0}
+        for trial in range(150):
+            inst = random_instance(rng, max_m=4, max_n=4, max_cells=14,
+                                   per_node=trial % 2 == 1)
+            start = warm_start(inst)
+            if inst.right_only or start is None:
+                continue
+            oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
+            bound, primal, value, steps = exact._lagrangian(
+                inst, diversity_cost(inst, start), None)
+            assert 1 <= steps <= exact.LAGRANGIAN_ITERATIONS
+            assert bound <= oracle.diversity_cost * (1 + 1e-12) + 1e-12
+            seen["bound"] += 1
+            seen["meets optimum"] += bound >= oracle.diversity_cost * (
+                1 - exact.PRUNE_TOL)
+            if primal is not None:
+                ok, violations = check_matching(inst, primal)
+                assert ok, violations
+                assert value == diversity_cost(inst, primal)
+                assert value >= oracle.diversity_cost - 1e-12
+                seen["primal"] += 1
+        assert seen["bound"] >= 80 and seen["primal"] >= 15, seen
+        assert seen["meets optimum"] >= 80, seen
+
+
 class TestWarmStart:
     def test_feasible_and_not_better_than_exact(self):
         rng = np.random.default_rng(431)
@@ -744,10 +925,8 @@ class TestDeterminism:
                 assert a.matching.edges == b.matching.edges
 
     def test_telemetry_counts_expansions(self):
-        weights = np.array([[1.0, 2.0], [3.0, 4.0]])
-        bounds = DegreeBounds.broadcast(2, 2, 1, 1, 1, 1)
-        inst = Instance(weights, np.array([0, 1]), 2, bounds)
-        rep = solve_diverse_exact(inst)
+        # The Lagrangian bound leaves this root open, so the search runs.
+        rep = solve_diverse_exact(gen_instance(searched_config(SEARCHED[0])))
         assert rep.status == OPTIMAL
         assert rep.telemetry["expanded"] >= 1
         assert rep.telemetry["fast_path"] is False

@@ -90,7 +90,8 @@ def test_power_of_two_scaling_keeps_the_diverse_answers(inst, exponent):
     scale = 2.0 ** exponent
     scaled_inst = Instance(inst.weights * scale, inst.clusters, inst.k,
                            inst.bounds)
-    for solve, counters in ((solve_diverse_exact, ("expanded", "pruned")),
+    for solve, counters in ((solve_diverse_exact, ("expanded", "pruned",
+                                                "lagrangian_iterations")),
                             (solve_diverse_greedy, ("gain_evaluations",))):
         base, scaled = solve(inst), solve(scaled_inst)
         assert scaled.status == base.status

@@ -59,9 +59,10 @@ runs once, at the root, and only if root pricing leaves the root open;
 the search then stops as soon as the incumbent is within PRUNE_TOL of
 it, so most proofs close at the root with no node expanded.
 
-The search is anytime: a greedy warm start seeds the incumbent and a
-millisecond budget stops the Lagrangian steps and the search early with
-the best incumbent.  Every subtree not yet searched hangs off a node on
+The search is anytime: the minimum-weight matching seeds the incumbent,
+and so sets the Lagrangian bound's first target, and a millisecond
+budget stops the Lagrangian steps and the search early with the best
+incumbent.  Every subtree not yet searched hangs off a node on
 the stack, so the smallest bound left there (capped by the pruning
 cutoff), or the Lagrangian bound where it is higher, is a certified
 lower bound on the optimum; telemetry reports it, capped by the
@@ -78,11 +79,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import minweight
 from ._residual import Residual
 from .errors import ConfigError, InternalError
-# solve_diverse_greedy, check_matching and total_weight go unused here,
-# but perfbench/tracing.py's PATCHES patches them in this module by name
-from .greedy import _construct, solve_diverse_greedy
+# solve_diverse_greedy, solve_min_weight, check_matching and total_weight
+# go unused here, but perfbench/tracing.py's PATCHES patches them in this
+# module by name
+from .greedy import solve_diverse_greedy
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
 from .minweight import solve_min_weight
 from .objective import diversity_cost, total_weight
@@ -100,12 +103,14 @@ LAGRANGIAN_ITERATIONS = 300
 def warm_start(inst: Instance) -> Optional[Matching]:
     """Feasible matching used to seed the incumbent; None if infeasible.
 
-    Greedy's construction usually lands close to the optimum.  When it
-    dead-ends on a feasible instance the minimum-weight solver supplies
-    the fallback, so every feasible instance yields an incumbent.
+    The minimum-weight matching: the concentration cost squares summed
+    weights, so the lightest edges make a strong diverse incumbent, and
+    every feasible instance has one.  It runs the circulation directly,
+    not solve_min_weight, whose report would check and cost it again.
     """
-    match = _construct(inst)[0]
-    return solve_min_weight(inst).matching if match is None else match
+    if not is_feasible_bounds(inst)[0]:
+        return None
+    return minweight.solve_circulation(minweight.reduce_to_circulation(inst))[0]
 
 
 def _cluster_dp(tables: np.ndarray, lo: np.ndarray,

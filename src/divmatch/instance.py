@@ -106,9 +106,14 @@ class Instance:
     cluster is a rejected input, not a silent renumbering), and bounds
     must be a DegreeBounds (which checks itself) sized m by n.
     Instances are safe to share across concurrent solver runs.
+
+    The first is_feasible_bounds call keeps its verdict in a private
+    slot, so every later call on the instance, by any solver, reads it
+    back.  Equality, hashing and pickling ignore the slot: a pickled or
+    copied instance is rebuilt through __init__ and counts afresh.
     """
 
-    __slots__ = ("_weights", "_clusters", "_k", "_bounds")
+    __slots__ = ("_weights", "_clusters", "_k", "_bounds", "_feasible")
 
     def __init__(self, weights, clusters: Sequence[int], k: int, bounds: DegreeBounds):
         try:
@@ -157,6 +162,7 @@ class Instance:
         object.__setattr__(self, "_clusters", c)
         object.__setattr__(self, "_k", k)
         object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_feasible", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
@@ -347,9 +353,18 @@ def is_feasible_bounds(inst: Instance) -> tuple[bool, str]:
     inequality that fails, left before right and the smallest set
     first: a single node ("left node i cannot reach its lower bound
     ...") or the node set, the edges it needs and the capacity the
-    other side admits.  It depends on the bounds alone.
+    other side admits.  It depends on the bounds alone, so the first
+    call's result is kept on the instance and returned by every later
+    one.
     """
-    b = inst.bounds
+    if inst._feasible is None:
+        # two calls that race both count and store the same verdict
+        object.__setattr__(inst, "_feasible", _count_feasible(inst.bounds))
+    return inst._feasible
+
+
+def _count_feasible(b: DegreeBounds) -> tuple[bool, str]:
+    """is_feasible_bounds' verdict on bounds b, counted afresh."""
     for side, other, lo, hi_other in (("left", "right", b.l_lo, b.r_hi),
                                       ("right", "left", b.r_lo, b.l_hi)):
         found = _first_overload(np.array(lo), np.array(hi_other))

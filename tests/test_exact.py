@@ -1,6 +1,8 @@
 """Tests for the exact diverse solver: fast path, branch and bound, budgets."""
 
 import functools
+import hashlib
+import json
 import math
 import operator
 from types import SimpleNamespace
@@ -25,12 +27,13 @@ from divmatch import (
     check_matching,
     diversity_cost,
     gen_instance,
+    is_feasible_bounds,
     solve_diverse_exact,
     solve_diverse_greedy,
     solve_min_weight,
     warm_start,
 )
-from divmatch import exact
+from divmatch import exact, greedy
 from divmatch._residual import Residual
 from conftest import counting_feasible, dead_end_instance, random_instance
 
@@ -198,7 +201,8 @@ def scaled_instance(cfg, scale):
 # bnb-proof-shaped 8x6 seeds whose root the Lagrangian bound leaves open
 # (300 steps, no proof) and whose search then accepts a leaf better than
 # the bound's best primal
-SEARCHED = [(4507, 8, 6, 3, 65), (4507, 8, 6, 4, 118), (11, 8, 6, 3, 28)]
+SEARCHED = [(4507, 8, 6, 3, 83), (4507, 8, 6, 4, 104), (11, 8, 6, 3, 54),
+            (11, 8, 6, 3, 132), (11, 8, 6, 3, 147)]
 
 
 def searched_config(seed):
@@ -279,6 +283,15 @@ class TestAnytimeBudget:
                 solve_diverse_exact(inst, budget_ms=bad)
 
 
+# run_scaling's (m, n) shapes, each at k = 5, L_lo = 1 and R_lo = 3
+SCALING_SHAPES = ((25, 10), (50, 10), (100, 10), (200, 10), (200, 100))
+
+
+def scaling_instance(seed, m, n):
+    return gen_instance(GeneratorConfig(m=m, n=n, k=5, l_lo=1, l_hi=n,
+                                        r_lo=3, r_hi=m, seed=(seed, m)))
+
+
 class TestCertifiedBound:
     # run_scaling's 50x10 shape at seed (23, 50), k = 5, clusters of 6 to
     # 14 members; its optimum, proven by one unbudgeted solve in 92
@@ -351,10 +364,8 @@ class TestCertifiedBound:
     def test_bound_is_below_every_cost_found_at_scale(self, seed):
         # run_scaling's shapes are past the oracle's reach, so the bound
         # is checked against every feasible cost the solvers find there.
-        for m, n in ((25, 10), (50, 10), (100, 10), (200, 10), (200, 100)):
-            inst = gen_instance(GeneratorConfig(m=m, n=n, k=5, l_lo=1,
-                                                l_hi=n, r_lo=3, r_hi=m,
-                                                seed=(seed, m)))
+        for m, n in SCALING_SHAPES:
+            inst = scaling_instance(seed, m, n)
             rep = solve_diverse_exact(inst, budget_ms=100)
             bound = rep.telemetry["lower_bound"]
             assert bound <= rep.diversity_cost, (m, n)
@@ -556,41 +567,42 @@ class TestCompletionBound:
 # (4507, t), k = 3 + t % 2: the optimum's edges as flat i * 6 + j, from
 # the search as it stood before pricing was batched per expansion; nodes
 # expanded and pruned, Lagrangian steps and the lower bound, recorded
-# once the root Lagrangian bound came in.  It closes every root but
-# trial 11's, which root pricing prunes, with no node expanded (the
-# search expanded 47 to 342 nodes per trial before).
+# once the warm start became the minimum-weight matching.  It closes
+# every root but trial 11's, which root pricing prunes, with no node
+# expanded (the search expanded 47 to 342 nodes per trial before the
+# root Lagrangian bound).
 PINNED_SEARCHES = [
-    ((0, 6, 13, 14, 15, 19, 28, 29, 34, 35, 38, 39, 42), 0, 0, 16,
-     0.43034747069329393),
-    ((0, 5, 6, 8, 13, 21, 22, 26, 31, 35, 39, 46), 0, 0, 25,
+    ((0, 6, 13, 14, 15, 19, 28, 29, 34, 35, 38, 39, 42), 0, 0, 14,
+     0.430347470693294),
+    ((0, 5, 6, 8, 13, 21, 22, 26, 31, 35, 39, 46), 0, 0, 27,
      0.4049844289735848),
-    ((2, 7, 12, 13, 16, 20, 27, 29, 33, 36, 41, 46), 0, 0, 32,
+    ((2, 7, 12, 13, 16, 20, 27, 29, 33, 36, 41, 46), 0, 0, 12,
      0.5563623247129477),
-    ((1, 9, 17, 18, 19, 22, 23, 24, 26, 33, 38, 46), 0, 0, 25,
-     0.6644368760369851),
-    ((4, 6, 8, 16, 18, 23, 25, 29, 31, 39, 44, 45), 0, 0, 21,
+    ((1, 9, 17, 18, 19, 22, 23, 24, 26, 33, 38, 46), 0, 0, 18,
+     0.664436876036985),
+    ((4, 6, 8, 16, 18, 23, 25, 29, 31, 39, 44, 45), 0, 0, 4,
      1.2848723566715432),
-    ((1, 8, 11, 12, 20, 21, 22, 27, 28, 29, 30, 36, 43), 0, 0, 21,
+    ((1, 8, 11, 12, 20, 21, 22, 27, 28, 29, 30, 36, 43), 0, 0, 9,
      0.5815920384730653),
-    ((2, 7, 14, 15, 16, 18, 19, 21, 28, 35, 36, 47), 0, 0, 10,
+    ((2, 7, 14, 15, 16, 18, 19, 21, 28, 35, 36, 47), 0, 0, 13,
      1.1533842898021947),
-    ((3, 8, 12, 22, 28, 30, 31, 32, 33, 35, 41, 43), 0, 0, 29,
+    ((3, 8, 12, 22, 28, 30, 31, 32, 33, 35, 41, 43), 0, 0, 18,
      1.3565415779966252),
-    ((2, 9, 10, 17, 18, 24, 25, 26, 29, 31, 40, 45), 0, 0, 6,
+    ((2, 9, 10, 17, 18, 24, 25, 26, 29, 31, 40, 45), 0, 0, 17,
      0.39465076617058037),
-    ((0, 2, 3, 7, 15, 23, 24, 34, 35, 38, 40, 43), 0, 0, 13,
+    ((0, 2, 3, 7, 15, 23, 24, 34, 35, 38, 40, 43), 0, 0, 6,
      0.7192946794683724),
-    ((2, 4, 5, 6, 9, 17, 22, 25, 27, 32, 36, 43), 0, 0, 8,
-     0.4211311141926326),
+    ((2, 4, 5, 6, 9, 17, 22, 25, 27, 32, 36, 43), 0, 0, 2,
+     0.42113111419263255),
     ((1, 4, 8, 17, 19, 21, 24, 33, 36, 38, 40, 47), 0, 1, 0,
      0.661178298104564),
-    ((4, 11, 16, 18, 27, 31, 32, 33, 36, 37, 38, 47), 0, 0, 7,
+    ((4, 11, 16, 18, 27, 31, 32, 33, 36, 37, 38, 47), 0, 0, 12,
      0.7700308976175017),
     ((0, 2, 4, 11, 16, 19, 20, 24, 27, 31, 41, 45), 0, 0, 3,
      0.732374599646629),
-    ((5, 10, 13, 14, 22, 24, 30, 33, 35, 37, 44, 45), 0, 0, 7,
-     0.49384162189676917),
-    ((1, 6, 11, 13, 20, 21, 26, 34, 36, 39, 40, 47), 0, 0, 18,
+    ((5, 10, 13, 14, 22, 24, 30, 33, 35, 37, 44, 45), 0, 0, 9,
+     0.4938416218967692),
+    ((1, 6, 11, 13, 20, 21, 26, 34, 36, 39, 40, 47), 0, 0, 4,
      0.3668404847446395),
 ]
 
@@ -598,12 +610,16 @@ PINNED_SEARCHES = [
 # lower bound: the pruning cutoff, above the Lagrangian bound left after
 # 300 steps
 PINNED_OPEN_SEARCHES = [
-    ((4, 7, 8, 17, 19, 21, 27, 30, 32, 40, 41, 42), 136, 135,
-     0.814418180422677),
-    ((0, 10, 11, 14, 15, 16, 20, 24, 31, 33, 37, 47), 172, 169,
-     0.3326658399238992),
-    ((1, 3, 11, 16, 18, 21, 24, 26, 29, 31, 38, 46), 157, 156,
-     0.8643266944551863),
+    ((0, 1, 3, 8, 9, 17, 23, 25, 34, 40, 42, 44), 107, 104,
+     0.689807739787015),
+    ((2, 7, 8, 10, 15, 21, 25, 30, 35, 40, 42, 47), 86, 83,
+     0.4978539381052015),
+    ((0, 1, 10, 16, 23, 26, 31, 33, 41, 42, 44, 45), 182, 177,
+     0.82656495362333),
+    ((2, 9, 12, 19, 20, 23, 28, 31, 39, 40, 41, 42), 105, 104,
+     1.1718710314451704),
+    ((1, 3, 7, 17, 18, 20, 26, 33, 34, 36, 46, 47), 234, 229,
+     0.7713532968093201),
 ]
 
 
@@ -642,9 +658,10 @@ class TestPinnedSearch:
     def test_counter_totals_where_side_totals_bind(self):
         # Per-node bounds, where the counting check's side totals prune
         # too; totals over the searched instances, recorded likewise.
-        # Root pricing prunes 70 of the 189 roots and the Lagrangian
-        # bound closes the other 119 (1,771 nodes expanded and 1,830
-        # pruned before it).
+        # Root pricing prunes 78 of the 189 roots against the
+        # minimum-weight warm start (70 against greedy's) and the
+        # Lagrangian bound closes the other 111 (1,771 nodes expanded
+        # and 1,830 pruned before it).
         rng = np.random.default_rng(462)
         searched = expanded = pruned = 0
         for _ in range(300):
@@ -656,7 +673,7 @@ class TestPinnedSearch:
             searched += 1
             expanded += rep.telemetry["expanded"]
             pruned += rep.telemetry["pruned"]
-        assert (searched, expanded, pruned) == (189, 0, 70)
+        assert (searched, expanded, pruned) == (189, 0, 78)
 
     def test_drifting_tracked_cost_raises(self, monkeypatch):
         # The search tracks an accepted leaf's cost by adding gains along
@@ -824,15 +841,21 @@ TAIL = (51, 107, 122, 173, 220, 310, 378, 428, 666, 705, 735, 766, 889, 992,
         1024, 1134, 1293, 1315, 1333, 1402)
 # proven optima
 TAIL_OPTIMA = {107: 13.663150602203139, 1134: 8.84777494000667}
-# run on a budget with a gap ceiling: the bound meets 1024's and 1402's
-# optimum only to 7e-10 and 1e-9 relative, at the pruning tolerance
+# run on a budget with a gap ceiling: the bound meets 1402's optimum
+# only to 1e-9 relative, at the pruning tolerance (and met 1024's only to
+# 7e-10 when the steps aimed at greedy's cost)
 TAIL_BUDGETED = (1024, 1333, 1402)
+# sha256 of the JSON list [[t, edges], ...] of every two-sided feasible
+# draw's optimum, in draw order, recorded while the warm start was still
+# greedy's; the minimum-weight warm start left every answer as it was
+TAIL_SEQUENCE_SHA256 = ("3353be501ba1711f0aef22aaed71e9be"
+                        "455df52deea124c1613bb2095c78f544")
 
 
 class TestTail:
     # Every tail draw now closes at the root: the Lagrangian bound meets
-    # an incumbent (greedy's or its own primal) within PRUNE_TOL, in 1
-    # to 125 steps and about 10 ms.
+    # an incumbent (the minimum-weight warm start or its own primal)
+    # within PRUNE_TOL, in 1 to 284 steps and at most about 25 ms.
     @pytest.mark.parametrize("t", TAIL)
     def test_tail_draw_closes_at_the_root(self, t):
         inst = tail_draws()[t]
@@ -851,12 +874,33 @@ class TestTail:
             assert rep.diversity_cost == pytest.approx(TAIL_OPTIMA[t],
                                                        rel=1e-12)
 
+    def test_whole_sequence_proves_optimal(self):
+        # All 912 two-sided feasible draws, unbudgeted: each proves
+        # optimal with its recorded answer.  They expand 480 nodes in
+        # all, 2 draws past the root (5,538 nodes and 5 draws with
+        # greedy's warm start).
+        answers, expanded = [], 0
+        for t, inst in enumerate(tail_draws()):
+            if inst.right_only or not is_feasible_bounds(inst)[0]:
+                continue
+            rep = solve_diverse_exact(inst)
+            assert rep.status == OPTIMAL, t
+            answers.append([t, [list(edge) for edge in rep.matching.edges]])
+            expanded += rep.telemetry["expanded"]
+        assert len(answers) == 912
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert digest == TAIL_SEQUENCE_SHA256
+        assert expanded <= 1000
+
 
 class TestLagrangianBound:
     def test_below_the_oracle_optimum_and_primals_feasible(self):
         # Small two-sided instances, half with per-node bounds: the bound
         # never exceeds the oracle's optimum, and a primal is a feasible
-        # matching whose reported cost is its fresh one.
+        # matching whose reported cost is its fresh one.  The steps aim
+        # at greedy's cost (min weight's where greedy dead-ends), which
+        # sits further above the optimum than the warm start's, so the
+        # subproblems pass through more primals on the way.
         rng = np.random.default_rng(471)
         budget = EnumerationBudget(max_subsets=1 << 16, max_wall_s=120.0)
         seen = {"bound": 0, "primal": 0, "meets optimum": 0}
@@ -866,9 +910,10 @@ class TestLagrangianBound:
             start = warm_start(inst)
             if inst.right_only or start is None:
                 continue
+            built = greedy._construct(inst)[0]
+            target = diversity_cost(inst, start if built is None else built)
             oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
-            bound, primal, value, steps = exact._lagrangian(
-                inst, diversity_cost(inst, start), None)
+            bound, primal, value, steps = exact._lagrangian(inst, target, None)
             assert 1 <= steps <= exact.LAGRANGIAN_ITERATIONS
             assert bound <= oracle.diversity_cost * (1 + 1e-12) + 1e-12
             seen["bound"] += 1
@@ -900,7 +945,14 @@ class TestWarmStart:
             assert (diversity_cost(inst, start)
                     >= exact.diversity_cost - 1e-9)
 
-    def test_min_weight_fallback_after_greedy_dead_end(self):
+    def test_is_the_min_weight_matching(self):
+        # Every feasible instance has a minimum-weight matching, so the
+        # warm start needs no fallback, where greedy dead-ends included;
+        # on an infeasible one both are None.
+        rng = np.random.default_rng(432)
+        for trial in range(40):
+            inst = random_instance(rng, per_node=trial % 2 == 1)
+            assert warm_start(inst) == solve_min_weight(inst).matching
         inst = dead_end_instance()
         assert solve_diverse_greedy(inst).matching is None
         start = warm_start(inst)
@@ -911,6 +963,20 @@ class TestWarmStart:
         assert rep.matching == start == oracle.matching
         np.testing.assert_allclose(rep.diversity_cost, 2.03, rtol=1e-12)
         assert rep.diversity_cost == oracle.diversity_cost
+
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_zero_budget_returns_min_weight_at_scale(self, seed):
+        # A zero budget stops before the first Lagrangian step and the
+        # first expansion, so the answer is the warm start, which on
+        # run_scaling's shapes costs less than greedy's (200x100 at seed
+        # 23: 0.0762 against 0.4336).
+        for m, n in SCALING_SHAPES:
+            inst = scaling_instance(seed, m, n)
+            rep = solve_diverse_exact(inst, budget_ms=0)
+            assert rep.matching == solve_min_weight(inst).matching, (m, n)
+            assert (rep.diversity_cost
+                    < solve_diverse_greedy(inst).diversity_cost), (m, n)
 
 
 class TestDeterminism:

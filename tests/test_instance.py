@@ -31,6 +31,7 @@ from divmatch import (
     solve_min_weight,
     transform_max_to_min,
 )
+from divmatch import instance
 from conftest import random_instance
 
 
@@ -375,6 +376,55 @@ class TestFeasibility:
             assert solve_min_weight(inst).status == status
             infeasible += status == INFEASIBLE
         assert infeasible >= 30
+
+
+def count_overloads(monkeypatch):
+    """Count _first_overload calls, one per side an instance is counted on."""
+    calls = [0]
+    first_overload = instance._first_overload
+
+    def counted(*args):
+        calls[0] += 1
+        return first_overload(*args)
+    monkeypatch.setattr(instance, "_first_overload", counted)
+    return calls
+
+
+class TestKeptVerdict:
+    # The first is_feasible_bounds call keeps its verdict on the instance.
+    def test_counted_once_across_all_three_solvers(self, monkeypatch):
+        calls = count_overloads(monkeypatch)
+        rng = np.random.default_rng(131)
+        seen = {"feasible two-sided": 0, "infeasible": 0}
+        for trial in range(40):
+            inst = random_instance(rng, per_node=trial % 2 == 1)
+            calls[0] = 0
+            verdict = is_feasible_bounds(inst)
+            counted = calls[0]
+            # one call per side, unless the left side already fails
+            assert counted == 2 if verdict[0] else counted in (1, 2)
+            for solve in (solve_min_weight, solve_diverse_greedy,
+                          solve_diverse_exact):
+                solve(inst)
+            assert calls[0] == counted
+            assert is_feasible_bounds(inst) is verdict
+            seen["feasible two-sided"] += verdict[0] and not inst.right_only
+            seen["infeasible"] += not verdict[0]
+        assert min(seen.values()) >= 5, seen
+
+    def test_equality_and_hash_ignore_it_and_copies_recount(self,
+                                                             monkeypatch):
+        calls = count_overloads(monkeypatch)
+        inst, fresh = tiny_instance(), tiny_instance()
+        verdict = is_feasible_bounds(inst)
+        assert calls[0] == 2
+        assert inst == fresh and hash(inst) == hash(fresh)
+        for back in (pickle.loads(pickle.dumps(inst)), copy.copy(inst),
+                     copy.deepcopy(inst)):
+            calls[0] = 0
+            assert back == inst and hash(back) == hash(inst)
+            assert is_feasible_bounds(back) == verdict
+            assert calls[0] == 2
 
 
 class TestCheckMatching:

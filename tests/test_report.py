@@ -55,18 +55,19 @@ def bnb_proof_instance():
 
 
 class TestSingleCount:
-    # A two-sided exact solve gates on feasibility once and checks its
-    # answer once; its warm start runs greedy's construction, not the
-    # greedy solver.  When greedy dead-ends, the minimum-weight fallback
-    # is a whole solve, with its own gate and check.
-    @pytest.mark.parametrize("make, feasible_calls, check_calls", [
-        pytest.param(bnb_proof_instance, 1, 1, id="bnb_proof"),
-        pytest.param(dead_end_instance, 2, 2, id="greedy_dead_end"),
+    # A two-sided exact solve calls is_feasible_bounds twice, in its gate
+    # and in its warm start, but the instance keeps the first verdict, so
+    # its bounds are counted once (one _first_overload per side); its
+    # answer is checked once.  The warm start runs min weight's
+    # circulation, not a solver, so greedy's dead end changes nothing.
+    @pytest.mark.parametrize("make", [
+        pytest.param(bnb_proof_instance, id="bnb_proof"),
+        pytest.param(dead_end_instance, id="greedy_dead_end"),
     ])
-    def test_two_sided_exact_solve(self, monkeypatch, make, feasible_calls,
-                                   check_calls):
-        calls = {"is_feasible_bounds": 0, "check_matching": 0,
-                 "solve_diverse_greedy": 0}
+    def test_two_sided_exact_solve(self, monkeypatch, make):
+        calls = {"is_feasible_bounds": 0, "_first_overload": 0,
+                 "check_matching": 0, "solve_diverse_greedy": 0,
+                 "solve_min_weight": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -78,12 +79,14 @@ class TestSingleCount:
 
         for module in (exact, greedy, minweight, instance):
             counted(module, "is_feasible_bounds")
+        counted(instance, "_first_overload")
         counted(instance, "check_matching")  # report._finish's lookup
         counted(exact, "solve_diverse_greedy")
+        counted(exact, "solve_min_weight")
         inst = make()
         assert not inst.right_only
         rep = solve_diverse_exact(inst)
         assert rep.status == OPTIMAL
-        assert calls == {"is_feasible_bounds": feasible_calls,
-                         "check_matching": check_calls,
-                         "solve_diverse_greedy": 0}
+        assert calls == {"is_feasible_bounds": 2, "_first_overload": 2,
+                         "check_matching": 1, "solve_diverse_greedy": 0,
+                         "solve_min_weight": 0}

@@ -11,10 +11,11 @@ one edge settles two debts where possible.
 Feasible means: not yet selected, both endpoints strictly under their
 upper bounds, and a counting check that the residual lower bounds can
 still be met after taking the edge.  The counting check is evaluated
-once per pick for all of the node's candidates
-(Residual.safe_partners).  It is necessary, not sufficient; a node left
-with no feasible incident edge is a dead end and the solve reports
-infeasible naming the stuck node rather than backtracking.
+once per pick for all of the node's candidates (Residual.safe_mask),
+from the per-node availability counts the residual keeps.  It is
+necessary, not sufficient; a node left with no feasible incident edge
+is a dead end and the solve reports infeasible naming the stuck node
+rather than backtracking.
 
 When no left bound binds (Instance.right_only), right nodes never
 compete for left capacity, so the construction picks each right
@@ -49,7 +50,7 @@ def _pick(res: Residual, side: str, node: int,
     Edges whose other endpoint still owes in this round come first; ties
     go to the first candidate in scan order.
     """
-    partners = np.array(res.safe_partners(side, node), dtype=np.intp)
+    partners = np.flatnonzero(res.safe_mask(side, node))
     if partners.size == 0:
         return None, 0
     inst = res.inst

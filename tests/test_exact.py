@@ -419,7 +419,7 @@ def reference_branch_edge(res, usable):
     """Flat index i * n + j of the heaviest usable edge at an owing right
     node, else at an owing left node, ties to the first; -1 when no node
     owes.  The rule branch and bound has always branched on."""
-    owing_l, owing_r = res.owing()
+    owing_l, owing_r = res.deg_l < res.l_lo, res.deg_r < res.r_lo
     if not owing_r.any() and not owing_l.any():
         return -1
     pool = usable & owing_r[None, :]
@@ -502,7 +502,7 @@ class TestCompletionBound:
             assert res.sums.cost + bound <= best + 1e-12 * max(1.0, best)
             assert branch == reference_branch_edge(res, usable)
             seen["checked"] += 1
-            owing_l, owing_r = res.owing()
+            owing_l, owing_r = res.deg_l < res.l_lo, res.deg_r < res.r_lo
             seen["both sides"] += bool(owing_l.any() and owing_r.any())
 
         for _ in range(200):
@@ -554,7 +554,8 @@ class TestCompletionBound:
                 for take, (bound, _) in zip((True, False), children):
                     res.decide(i, j, take)
                     assert bound == reference_completion(res, res.usable())
-                    owing_l, owing_r = res.owing()
+                    owing_l = res.deg_l < res.l_lo
+                    owing_r = res.deg_r < res.r_lo
                     wide += max(owing_l.sum(), owing_r.sum()) >= 8
                     res.undo(i, j, take)
                 take = bool(rng.random() < 0.5)

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from divmatch import (
     DegreeBounds,
@@ -25,6 +26,7 @@ from divmatch import (
 )
 from divmatch import greedy
 from divmatch._residual import Residual
+from divmatch.errors import InternalError
 from conftest import counting_feasible, dead_end_instance, random_instance
 
 
@@ -223,20 +225,17 @@ class TestFastPath:
 
 
 def reference_partners(res, side, node):
-    """The per-candidate check safe_partners() replaces: take, count, restore."""
+    """The per-candidate check safe_partners() replaces: take, count from
+    scratch, undo."""
     usable = res.usable()
     partners = np.nonzero(usable[node] if side == "left" else usable[:, node])[0]
     out = []
     for p in partners.tolist():
         i, j = (node, p) if side == "left" else (p, node)
-        res.closed[i, j] = True
-        res.deg_l[i] += 1
-        res.deg_r[j] += 1
+        res.decide(i, j, True)
         if counting_feasible(res, res.usable()):
             out.append(p)
-        res.closed[i, j] = False
-        res.deg_l[i] -= 1
-        res.deg_r[j] -= 1
+        res.undo(i, j, True)
     return out
 
 
@@ -268,10 +267,10 @@ class TestSafePartners:
                 # one random forbid that keeps the counting check
                 forbids = []
                 for i, j in rng.permutation(np.argwhere(usable)).tolist():
-                    res.closed[i, j] = True
+                    res.decide(i, j, False)
                     if counting_feasible(res, res.usable()):
                         forbids = [(i, j, False)]
-                    res.closed[i, j] = False
+                    res.undo(i, j, False)
                     if forbids:
                         break
                 moves = [m for m in (takes, forbids) if m]
@@ -280,6 +279,69 @@ class TestSafePartners:
                 pool = moves[int(rng.integers(len(moves)))]
                 res.decide(*pool[int(rng.integers(len(pool)))])
         assert partial >= 1000, (checked, partial)
+
+
+def kept_counts_hold(res):
+    """Whether res's kept availability counts equal a count from scratch."""
+    open_ = ~res.closed
+    return (np.array_equal(res.avail_l,
+                           (open_ & (res.deg_r < res.r_hi)).sum(axis=1))
+            and np.array_equal(res.avail_r,
+                               (open_ & (res.deg_l < res.l_hi)[:, None])
+                               .sum(axis=0)))
+
+
+class TestKeptCounts:
+    def test_match_a_count_from_scratch_on_random_walks(self):
+        # Takes, forbids of usable and unusable edges, and undos back to
+        # the root; the counts must equal a fresh count after each step.
+        rng = np.random.default_rng(361)
+        states, fills = 0, [0, 0]  # rows and columns filled
+        for trial in range(300):
+            inst = random_instance(rng, max_m=7, max_n=7, max_cells=49,
+                                   per_node=trial % 2 == 0)
+            res = Residual(inst)
+            assert kept_counts_hold(res), trial
+            trail = []
+            for _ in range(60):
+                edges = np.argwhere(~res.closed)
+                if trail and (len(edges) == 0 or rng.random() < 0.3):
+                    res.undo(*trail.pop())
+                else:
+                    i, j = (int(v) for v in edges[rng.integers(len(edges))])
+                    take = bool(res.usable()[i, j] and rng.random() < 0.7)
+                    res.decide(i, j, take)
+                    trail.append((i, j, take))
+                    if take:
+                        fills[0] += int(res.deg_l[i] == res.l_hi[i])
+                        fills[1] += int(res.deg_r[j] == res.r_hi[j])
+                assert kept_counts_hold(res), trial
+                states += 1
+            while trail:
+                res.undo(*trail.pop())
+                assert kept_counts_hold(res), trial
+                states += 1
+            assert not res.closed.any() and not res.deg_l.any()
+        assert states >= 20000 and min(fills) >= 1000, (states, fills)
+
+    def test_decide_on_closed_edge_raises(self):
+        res = Residual(spread_instance())
+        res.decide(0, 0, False)
+        with pytest.raises(InternalError, match="closed edge"):
+            res.decide(0, 0, False)
+        with pytest.raises(InternalError, match="closed edge"):
+            res.decide(0, 0, True)
+        assert kept_counts_hold(res)
+
+    def test_undo_on_open_edge_raises(self):
+        res = Residual(spread_instance())
+        with pytest.raises(InternalError, match="open edge"):
+            res.undo(1, 0, False)
+        res.decide(1, 0, True)
+        res.undo(1, 0, True)
+        with pytest.raises(InternalError, match="open edge"):
+            res.undo(1, 0, True)
+        assert kept_counts_hold(res) and not res.taken.any()
 
 
 def reference_pick(res, side, node, round_i):

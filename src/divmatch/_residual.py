@@ -59,8 +59,8 @@ class Residual:
         self.avail_r = np.full(inst.n, np.count_nonzero(self.l_hi),
                                dtype=np.int64)
 
-    def decide(self, i: int, j: int, take: bool) -> float:
-        """Take or forbid open edge (i, j); returns the cost increase.
+    def decide(self, i: int, j: int, take: bool) -> None:
+        """Take or forbid open edge (i, j).
 
         Closing the edge drops it from each endpoint's count where the
         other endpoint has spare capacity; a take that fills right node j
@@ -76,14 +76,14 @@ class Residual:
         if deg_l[i] < self.l_hi[i]:
             self.avail_r[j] -= 1
         if not take:
-            return 0.0
+            return
         deg_l[i] += 1
         deg_r[j] += 1
         if deg_r[j] == self.r_hi[j]:
             self.avail_l -= ~closed[:, j]
         if deg_l[i] == self.l_hi[i]:
             self.avail_r -= ~closed[i]
-        return self.sums.add(i, j)
+        self.sums.add(i, j)
 
     def undo(self, i: int, j: int, took: bool) -> None:
         """Reverse decide(i, j, took), its steps in the opposite order."""
@@ -115,11 +115,6 @@ class Residual:
         out &= (self.deg_l < self.l_hi)[:, None]
         out &= (self.deg_r < self.r_hi)[None, :]
         return out
-
-    def safe_partners(self, side: str, node: int) -> list[int]:
-        """Partners of node whose edge is usable and passes the counting
-        check once taken, ascending."""
-        return np.flatnonzero(self.safe_mask(side, node)).tolist()
 
     def safe_mask(self, side: str, node: int) -> np.ndarray:
         """Mask over the other side's nodes of node's safe partners.

@@ -18,6 +18,7 @@ all three solvers as the left side grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,9 +39,10 @@ class GeneratorConfig:
     """Shape, bounds, and seed for one random instance.
 
     Weights are i.i.d. uniform on [0, 1); cluster labels are uniform on
-    {0..k-1}, redrawn in full until every cluster is nonempty.  Bounds
-    are scalars broadcast to every node; upper bounds default to the
-    loosest legal value (the opposite side's size).
+    {0..k-1}, redrawn in full until every cluster is nonempty (a config
+    whose one draw does so with probability below 1e-6 is refused).
+    Bounds are scalars broadcast to every node; upper bounds default to
+    the loosest legal value (the opposite side's size).
     """
 
     m: int
@@ -63,10 +65,23 @@ def gen_instance(cfg: GeneratorConfig) -> Instance:
         raise ConfigError("m, n, k must all be positive")
     if np.any(np.asarray(cfg.seed) < 0):
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed!r}")
+    m, k = cfg.m, cfg.k
+    draws = k ** m
+    # covered of the k^m equally likely draws hold all k labels (inclusion-
+    # exclusion); the sum runs only where the union bound cannot show
+    # covered / k^m >= 1e-6
+    if (draws - k * (k - 1) ** m) * 10**6 < draws:
+        covered = sum((-1) ** i * math.comb(k, i) * (k - i) ** m
+                      for i in range(k + 1))
+        if covered * 10**6 < draws:
+            raise ConfigError(
+                f"a draw of m = {m} uniform labels covers all k = {k} "
+                f"clusters with probability {covered / draws:.3g}, below "
+                "1e-6; refusing to redraw until it does")
     rng = np.random.default_rng(cfg.seed)
     weights = rng.random((cfg.m, cfg.n))
     clusters = rng.integers(0, cfg.k, size=cfg.m)
-    while len(np.unique(clusters)) < cfg.k:
+    while len(set(clusters.tolist())) < cfg.k:
         clusters = rng.integers(0, cfg.k, size=cfg.m)
     bounds = DegreeBounds.broadcast(
         cfg.m, cfg.n,
@@ -150,14 +165,14 @@ class TrialBatch:
 
 def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
                       trials: int = 100, m: int = 10, n: int = 10,
-                      r_lo: int = 5, seed: int = 7,
-                      budget_ms: float = SCALING_BUDGET_MS) -> TrialBatch:
+                      r_lo: int = 5, seed: int = 7) -> TrialBatch:
     """Sweep the cluster count, many random trials per value.
 
     Per trial: generate an instance with the left side open (L_lo = 0,
     L_hi = n), solve the weight baseline, the exact diverse objective
-    (budgeted), and the greedy heuristic, then record metrics.  Every
-    trial is feasible, as DegreeBounds enforces r_lo <= m.
+    and the greedy heuristic, then record metrics.  Every trial is
+    feasible, as DegreeBounds enforces r_lo <= m, and right_only, so the
+    exact solve is its dynamic program and needs no budget.
     """
     batch = TrialBatch()
     for k in k_values:
@@ -166,7 +181,7 @@ def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
                                   r_lo=r_lo, seed=(seed, k, trial))
             inst = gen_instance(cfg)
             base = solve_min_weight(inst)
-            div = solve_diverse_exact(inst, budget_ms=budget_ms)
+            div = solve_diverse_exact(inst)
             grd = solve_diverse_greedy(inst)
             rep = compute_metrics(inst, base, div, f"k{k}_t{trial}")
             batch.rows.append(TrialRow(trial, k, str(seed), rep,
@@ -175,12 +190,13 @@ def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
     return batch
 
 
-def run_bounds_sweep(m: int = 8, n: int = 4, k: int = 3, seed: int = 11,
-                     budget_ms: float = SCALING_BUDGET_MS) -> TrialBatch:
+def run_bounds_sweep(m: int = 8, n: int = 4, k: int = 3,
+                     seed: int = 11) -> TrialBatch:
     """Sweep the right-side lower bound r_lo = 1..m on one weight matrix.
 
     The weight matrix and clusters are drawn once; only the bounds move,
-    and with the left side open every r_lo is feasible.  At r_lo = m
+    and with the left side open every r_lo is feasible and right_only
+    (exact's dynamic program, no budget needed).  At r_lo = m
     every right node must take every left node, the matching is unique,
     and the price of diversity is exactly 1.
     """
@@ -192,7 +208,7 @@ def run_bounds_sweep(m: int = 8, n: int = 4, k: int = 3, seed: int = 11,
         bounds = DegreeBounds.broadcast(m, n, 0, n, r_lo, m)
         inst = Instance(proto.weights, proto.clusters, k, bounds)
         base = solve_min_weight(inst)
-        div = solve_diverse_exact(inst, budget_ms=budget_ms)
+        div = solve_diverse_exact(inst)
         rep = compute_metrics(inst, base, div, f"rlo{r_lo}")
         batch.rows.append(TrialRow(0, r_lo, str(seed), rep,
                                    exact_cost=div.diversity_cost))

@@ -159,7 +159,7 @@ def _cmd_run_fig2(args) -> int:
     batch = run_cluster_sweep(
         k_values=tuple(range(args.k_min, args.k_max + 1)),
         trials=args.trials, m=args.m, n=args.n, r_lo=args.r_lo,
-        seed=args.seed, budget_ms=args.budget_ms)
+        seed=args.seed)
     prefix = args.out or "fig2"
     Path(f"{prefix}_trials.csv").write_text(batch.to_trials_csv())
     Path(f"{prefix}_summary.csv").write_text(batch.to_summary_csv())
@@ -168,8 +168,7 @@ def _cmd_run_fig2(args) -> int:
 
 
 def _cmd_run_bounds(args) -> int:
-    batch = run_bounds_sweep(m=args.m, n=args.n, k=args.k, seed=args.seed,
-                             budget_ms=args.budget_ms)
+    batch = run_bounds_sweep(m=args.m, n=args.n, k=args.k, seed=args.seed)
     _write(args.out, batch.to_trials_csv())
     return EXIT_OK
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--n", type=int, default=10)
     f.add_argument("--r-lo", type=int, default=5)
     f.add_argument("--seed", type=int, default=7)
-    f.add_argument("--budget-ms", type=float, default=SCALING_BUDGET_MS)
     f.add_argument("--out", default=None,
                    help="output prefix (default fig2)")
     f.set_defaults(func=_cmd_run_fig2)
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=4)
     b.add_argument("--k", type=int, default=3)
     b.add_argument("--seed", type=int, default=11)
-    b.add_argument("--budget-ms", type=float, default=SCALING_BUDGET_MS)
     b.add_argument("--out", default=None)
     b.set_defaults(func=_cmd_run_bounds)
 

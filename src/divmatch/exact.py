@@ -337,7 +337,6 @@ class _Pricer:
         w = self.w = inst.weights
         self.w2, self.tw = w * w, 2.0 * w
         self.lo = np.concatenate((res.r_lo, res.l_lo))
-        self.cap_l, self.cap_r = int(res.l_hi.sum()), int(res.r_hi.sum())
         self.usable = np.empty((2, m, n), dtype=bool)
         self.table = np.empty((2, inst.k, n))  # cluster sums, transposed
         self.need = np.empty((2, n + m), dtype=np.int64)
@@ -361,16 +360,15 @@ class _Pricer:
         # pools[s, 1] those at owing left nodes
         self.pools = np.empty((2, 2, m, n), dtype=bool)
 
-    def price(self, committed: float, cutoff: float, taken: int,
+    def price(self, committed: float, cutoff: float,
               edge: int = -1) -> list[Optional[tuple[float, float, int]]]:
         """(bound, committed cost, branch edge) per state, None if pruned.
 
         The batch is res's state when edge is -1, else the take and the
-        forbid child of flat edge i * n + j, in that order; committed
-        and taken (the number of taken edges) are res's.  A branch edge
-        is the flat index of the heaviest usable edge at an owing right
-        node, else at an owing left node, ties to the first; -1 when no
-        node owes.
+        forbid child of flat edge i * n + j, in that order; committed is
+        res's.  A branch edge is the flat index of the heaviest usable
+        edge at an owing right node, else at an owing left node, ties to
+        the first; -1 when no node owes.
         """
         res, m, n = self.res, self.m, self.n
         size = 1 if edge < 0 else 2
@@ -379,6 +377,7 @@ class _Pricer:
         usable[:] = res.usable()
         table[:] = res.sums.table.T
         need[:] = self.lo - np.concatenate((res.deg_r, res.deg_l))
+        taken = int(res.deg_l.sum())  # one per taken edge
         commits, takens = [committed], [taken]
         if edge >= 0:
             i, j = divmod(edge, n)
@@ -420,7 +419,7 @@ class _Pricer:
         out: list[Optional[tuple[float, float, int]]] = []
         for s in range(size):
             owe_r, owe_l = owed[2 * s], owed[2 * s + 1]
-            spare_l, spare_r = self.cap_l - takens[s], self.cap_r - takens[s]
+            spare_l, spare_r = res.cap_l - takens[s], res.cap_r - takens[s]
             if owe_l > spare_r or owe_r > spare_l:
                 bound = math.inf
             else:
@@ -451,7 +450,7 @@ def _branch_and_bound(inst: Instance, start: float,
 
     res, n = Residual(inst), inst.n
     pricer = _Pricer(res)
-    root = pricer.price(0.0, cutoff, 0)[0]
+    root = pricer.price(0.0, cutoff)[0]
     lagrangian, iterations = None, 0
     if root is not None:
         lagrangian, primal, value, iterations = _lagrangian(inst, best_value,
@@ -468,7 +467,6 @@ def _branch_and_bound(inst: Instance, start: float,
     # from the parent, branch is the node's own branch edge
     stack = [] if root is None else [(root[0], 0.0, 0, -1, False, root[2])]
     trail: list[tuple[int, int, bool]] = []  # decisions applied to res
-    taken = 0  # edges taken along the trail
     timed_out = False
 
     # the search ends once the incumbent meets the Lagrangian bound
@@ -482,13 +480,10 @@ def _branch_and_bound(inst: Instance, start: float,
             continue
         if edge >= 0:
             while len(trail) >= depth:
-                step = trail.pop()
-                res.undo(*step)
-                taken -= step[2]
+                res.undo(*trail.pop())
             i, j = divmod(edge, n)
             res.decide(i, j, take)
             trail.append((i, j, take))
-            taken += take
         expanded += 1
         peak_depth = max(peak_depth, depth)
 
@@ -506,7 +501,7 @@ def _branch_and_bound(inst: Instance, start: float,
 
         children = []
         for take, priced in zip((True, False),
-                                pricer.price(committed, cutoff, taken, flat)):
+                                pricer.price(committed, cutoff, flat)):
             if priced is None:
                 pruned += 1
             else:

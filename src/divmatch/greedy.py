@@ -118,14 +118,6 @@ def _per_right_node(inst: Instance) -> tuple[Matching, int]:
     return Matching._trusted(zip(rows, cols)), gain_evaluations
 
 
-def _construct(inst: Instance) -> tuple[Optional[Matching], int, str]:
-    """Greedy's construction, per right node on right_only instances, else
-    in rounds: (matching or None, gain evaluations, dead end)."""
-    if inst.right_only:
-        return (*_per_right_node(inst), "")
-    return _round_based(inst)
-
-
 def solve_diverse_greedy(inst: Instance) -> SolveReport:
     """Greedy minimization of the concentration cost.
 
@@ -136,7 +128,9 @@ def solve_diverse_greedy(inst: Instance) -> SolveReport:
     feasible, why = is_feasible_bounds(inst)
     if not feasible:
         return _finish("greedy", inst, start, None, INFEASIBLE, why)
-    match, gain_evaluations, dead_end = _construct(inst)
+    match, gain_evaluations, dead_end = (
+        (*_per_right_node(inst), "") if inst.right_only
+        else _round_based(inst))
     telemetry = {"gain_evaluations": gain_evaluations}
     if match is not None:
         telemetry["fast_path"] = inst.right_only

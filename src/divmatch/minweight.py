@@ -50,7 +50,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -174,7 +173,6 @@ class _Warm(NamedTuple):
     side: str  # the taker side
     short: int  # units the fed side's lower bounds still lack
     edges: list[tuple[int, int]]  # the picks, as (left, right) pairs
-    deg: list[int]  # picks per fed node
     theta: np.ndarray  # per taker node, the heaviest weight it took
 
 
@@ -215,7 +213,7 @@ def _warm_start(inst: Instance) -> Optional[_Warm]:
             left, right = ((fed_ids, taker_ids) if side == "right"
                            else (taker_ids, fed_ids))
             best = _Warm(side, short, list(zip(left.tolist(), right.tolist())),
-                         deg.tolist(), theta)
+                         theta)
         if short == 0:
             break
     return best
@@ -248,39 +246,30 @@ def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
     if warm is None:
         return g
 
-    # The warm start, driven by one table per side.  A fed node carries
-    # its picks on its requirement arc up to its lower bound and the rest
-    # on its free (supply or demand) arc.  The bypass and the taker's
-    # detour arc carry the taker's whole bound, and the fed side's detour
-    # arc what the picks met of its own.
-    sides = {
-        "right": SimpleNamespace(lo=b.r_lo, node0=right0, sign=1.0,
-                                 total=total_r, free=demand, detour=ss_t,
-                                 req=right_tt),
-        "left": SimpleNamespace(lo=b.l_lo, node0=left0, sign=-1.0,
-                                total=total_l, free=supply, detour=s_tt,
-                                req=ss_left),
-    }
-    taker = sides[warm.side]
-    fed = sides["left" if warm.side == "right" else "right"]
+    # The warm start.  Each node carries its picks on its requirement arc
+    # up to its lower bound and the rest on its free (supply or demand)
+    # arc; each detour arc carries what its side's requirement arcs carry,
+    # and the bypass every pick.
+    deg_l, deg_r = [0] * m, [0] * n
     for i, j in warm.edges:
         g.push(first + 2 * (i * n + j), 1)
-    g.pot[taker.node0:taker.node0 + warm.theta.size] = (
-        taker.sign * warm.theta).tolist()
-    for node, lo in enumerate(taker.lo):
-        if lo > 0:
-            g.push(taker.req[node], lo)
-    met = 0
-    for node, (d, lo) in enumerate(zip(warm.deg, fed.lo)):
-        if lo > 0:
-            g.push(fed.req[node], min(d, lo))
-            met += min(d, lo)
-        if d > lo:
-            g.push(fed.free[node], d - lo)
-    g.push(bypass, taker.total)
-    g.push(taker.detour, taker.total)
-    if met:
-        g.push(fed.detour, met)
+        deg_l[i] += 1
+        deg_r[j] += 1
+    for deg, lows, req, free, detour in (
+            (deg_l, b.l_lo, ss_left, supply, s_tt),
+            (deg_r, b.r_lo, right_tt, demand, ss_t)):
+        met = 0
+        for node, (d, lo) in enumerate(zip(deg, lows)):
+            if lo > 0:
+                g.push(req[node], min(d, lo))
+                met += min(d, lo)
+            if d > lo:
+                g.push(free[node], d - lo)
+        if met:
+            g.push(detour, met)
+    g.push(bypass, len(warm.edges))
+    node0, sign = (right0, 1.0) if warm.side == "right" else (left0, -1.0)
+    g.pot[node0:node0 + warm.theta.size] = (sign * warm.theta).tolist()
     return g
 
 

@@ -31,8 +31,10 @@ import numpy as np
 from . import metrics as _metrics
 from .errors import ConfigError, SizeCapError
 from .instance import Instance, Matching
+# diversity_cost and total_weight go unused here, but
+# perfbench/tracing.py's PATCHES patches them in this module by name
 from .objective import diversity_cost, total_weight
-from .report import INFEASIBLE, OPTIMAL, SolveReport
+from .report import INFEASIBLE, OPTIMAL, SolveReport, _finish
 
 OBJECTIVE_WEIGHT = "weight"
 OBJECTIVE_DIVERSITY = "diversity"
@@ -161,21 +163,14 @@ def brute_force(inst: Instance, objective: str = OBJECTIVE_WEIGHT,
             if best_edges is None or edges < best_edges:
                 best_edges = edges
 
-    wall = time.perf_counter() - start
     telemetry = {"subsets": total, "enumerated": enumerated,
                  "feasible": feasible_count}
     if best_edges is None:
-        return SolveReport(
-            algorithm="oracle", status=INFEASIBLE, matching=None,
-            total_weight=None, diversity_cost=None, wall_time=wall,
-            diagnostic="no edge subset satisfies the degree bounds",
-            telemetry=telemetry)
-    match = Matching(best_edges)
-    return SolveReport(
-        algorithm="oracle", status=OPTIMAL, matching=match,
-        total_weight=total_weight(inst, match),
-        diversity_cost=diversity_cost(inst, match),
-        wall_time=wall, telemetry=telemetry)
+        return _finish("oracle", inst, start, None, INFEASIBLE,
+                       "no edge subset satisfies the degree bounds",
+                       telemetry)
+    return _finish("oracle", inst, start, Matching(best_edges), OPTIMAL,
+                   telemetry=telemetry)
 
 
 def enumerate_pod(inst: Instance, budget: Optional[EnumerationBudget] = None,

@@ -64,6 +64,16 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             gen_instance(GeneratorConfig(m=0, n=2, k=1, r_lo=0, seed=0))
 
+    def test_refuses_labels_that_almost_never_cover_every_cluster(self):
+        # one draw of 30 labels holds all 30 with probability 30! / 30^30,
+        # about 1.3e-12, so redrawing until it does would not end
+        with pytest.raises(ConfigError, match="probability"):
+            gen_instance(GeneratorConfig(m=30, n=2, k=30))
+
+    def test_as_many_clusters_as_left_nodes(self):
+        inst = gen_instance(GeneratorConfig(m=10, n=2, k=10))
+        assert sorted(inst.clusters.tolist()) == list(range(10))
+
     def test_rejects_negative_seed(self):
         for seed in (-1, (3, -2)):
             with pytest.raises(ConfigError, match="seed"):
@@ -162,6 +172,20 @@ class TestTrialsCsv:
             for line in lines[1:]:
                 cells = line.split(",")
                 assert cells[1] == cells[col]
+
+
+class TestSweepPremise:
+    def test_every_row_is_right_only(self):
+        # Both sweeps keep the left side open, so every instance is
+        # right_only: the exact solve is its dynamic program, which no
+        # budget stops, and pod_bound is a floor under pod.
+        cluster = run_cluster_sweep(k_values=(2, 4), trials=3, m=6, n=6,
+                                    r_lo=3)
+        for batch in (cluster, run_bounds_sweep()):
+            for row in batch.rows:
+                rep = row.report
+                assert "premise" not in rep.diagnostic, rep.instance_id
+                assert rep.pod >= rep.pod_bound - 1e-12, rep.instance_id
 
 
 class TestBoundsSweep:

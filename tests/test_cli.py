@@ -333,6 +333,17 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--sizes" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("command", ["run-fig2", "run-bounds"])
+    def test_sweeps_take_no_budget(self, command, capsys):
+        # both sweeps' instances are right_only, which no budget stops
+        assert main([command, "--budget-ms", "100"]) == EXIT_USAGE
+
+    def test_uncoverable_clusters_exit_usage(self, tmp_path, capsys):
+        code = main(["gen", "--m", "30", "--n", "2", "--k", "30",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert "probability" in json.loads(capsys.readouterr().err)["message"]
+
     def test_negative_seed_exits_usage(self, tmp_path, capsys):
         code = main(["gen", "--m", "4", "--n", "3", "--k", "2",
                      "--seed", "-1", "--out", str(tmp_path / "x.json")])

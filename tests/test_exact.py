@@ -33,7 +33,7 @@ from divmatch import (
     solve_min_weight,
     warm_start,
 )
-from divmatch import exact, greedy
+from divmatch import exact
 from divmatch._residual import Residual
 from conftest import counting_feasible, dead_end_instance, random_instance
 
@@ -327,7 +327,7 @@ class TestCertifiedBound:
         assert rep.telemetry["expanded"] == 0
         assert rep.telemetry["lagrangian_iterations"] == 0
         assert rep.telemetry["lagrangian_bound"] is None
-        root = exact._Pricer(Residual(inst)).price(0.0, math.inf, 0)[0][0]
+        root = exact._Pricer(Residual(inst)).price(0.0, math.inf)[0][0]
         assert rep.telemetry["lower_bound"] == root
         assert 0.0 < root <= optimum
         assert rep.telemetry["gap"] < 1.0
@@ -452,7 +452,7 @@ def reference_completion(res, usable):
     return max(totals)
 
 
-def price_children(pricer, taken, i, j):
+def price_children(pricer, i, j):
     """(completion bound, branch edge) of the take and the forbid child of
     edge (i, j) from the pricing kernel, bound inf and branch None where
     the kernel prunes the child at an infinite cutoff.
@@ -463,8 +463,8 @@ def price_children(pricer, taken, i, j):
     """
     flat = i * pricer.n + j
     gain = pricer.res.sums.gain(i, j)
-    kids = (pricer.price(-gain, math.inf, taken, flat)[0],
-            pricer.price(0.0, math.inf, taken, flat)[1])
+    kids = (pricer.price(-gain, math.inf, flat)[0],
+            pricer.price(0.0, math.inf, flat)[1])
     assert all(kid is None or kid[1] == 0.0 for kid in kids)
     return [(math.inf, None) if kid is None else (kid[0], kid[2])
             for kid in kids]
@@ -473,14 +473,16 @@ def price_children(pricer, taken, i, j):
 class TestCompletionBound:
     def test_admissible_and_equal_to_per_node_pricing(self):
         # Random take/forbid walks on small two-sided instances, each
-        # until the counting check fails or no edge is open.  The empty
-        # state is priced as a batch of one, as the root is; at each
-        # state whose next edge is usable, both children of that edge
-        # are priced in one batch.  A priced state's bound is infinite
-        # exactly where the reference check fails on it; elsewhere it
-        # equals per-node pricing, the committed cost plus the bound
-        # does not exceed the best completion, found by enumeration, and
-        # the branch edge is the reference rule's.
+        # until the counting check fails or no edge is open.  Every state
+        # the walk reaches, the empty one first, is priced as a batch of
+        # one, as the root is, so its side totals read a taken count
+        # deeper than one edge; at each state whose next edge is usable,
+        # both children of that edge are priced in one batch.  A priced
+        # state's bound is infinite exactly where the reference check
+        # fails on it; elsewhere it equals per-node pricing, the
+        # committed cost plus the bound does not exceed the best
+        # completion, found by enumeration, and the branch edge is the
+        # reference rule's.
         rng = np.random.default_rng(451)
         seen = {"checked": 0, "both sides": 0, "totals only": 0}
 
@@ -510,26 +512,24 @@ class TestCompletionBound:
                                    per_node=True)
             res = Residual(inst)
             pricer = exact._Pricer(res)
-            root = pricer.price(0.0, math.inf, 0)[0]
-            check(res, *((math.inf, None) if root is None
-                         else (root[0], root[2])))
-            taken = 0
-            while counting_feasible(res, res.usable()):
+            while True:
+                state = pricer.price(0.0, math.inf)[0]
+                check(res, *((math.inf, None) if state is None
+                             else (state[0], state[2])))
                 edges = np.argwhere(~res.closed)
-                if len(edges) == 0:
+                if not counting_feasible(res, res.usable()) or not len(edges):
                     break
                 i, j = (int(v) for v in edges[rng.integers(len(edges))])
                 usable_edge = bool(res.usable()[i, j])
                 # the search branches on usable edges only
                 if usable_edge:
-                    children = price_children(pricer, taken, i, j)
+                    children = price_children(pricer, i, j)
                     for take, child in zip((True, False), children):
                         res.decide(i, j, take)
                         check(res, *child)
                         res.undo(i, j, take)
                 take = usable_edge and rng.random() < 0.6
                 res.decide(i, j, take)
-                taken += take
         assert seen["checked"] >= 500, seen
         assert seen["both sides"] >= 100, seen
         assert seen["totals only"] >= 10, seen
@@ -546,11 +546,10 @@ class TestCompletionBound:
                 seed=(453, trial)))
             res = Residual(inst)
             pricer = exact._Pricer(res)
-            taken = 0
             for _ in range(12):
                 edges = np.argwhere(res.usable())
                 i, j = (int(v) for v in edges[rng.integers(len(edges))])
-                children = price_children(pricer, taken, i, j)
+                children = price_children(pricer, i, j)
                 for take, (bound, _) in zip((True, False), children):
                     res.decide(i, j, take)
                     assert bound == reference_completion(res, res.usable())
@@ -560,7 +559,6 @@ class TestCompletionBound:
                     res.undo(i, j, take)
                 take = bool(rng.random() < 0.5)
                 res.decide(i, j, take)
-                taken += take
         assert wide >= 200
 
 
@@ -911,7 +909,7 @@ class TestLagrangianBound:
             start = warm_start(inst)
             if inst.right_only or start is None:
                 continue
-            built = greedy._construct(inst)[0]
+            built = solve_diverse_greedy(inst).matching
             target = diversity_cost(inst, start if built is None else built)
             oracle = brute_force(inst, OBJECTIVE_DIVERSITY, budget)
             bound, primal, value, steps = exact._lagrangian(inst, target, None)

@@ -225,7 +225,7 @@ class TestFastPath:
 
 
 def reference_partners(res, side, node):
-    """The per-candidate check safe_partners() replaces: take, count from
+    """The per-candidate check safe_mask() replaces: take, count from
     scratch, undo."""
     usable = res.usable()
     partners = np.nonzero(usable[node] if side == "left" else usable[:, node])[0]
@@ -257,7 +257,8 @@ class TestSafePartners:
                 for side, count in (("left", inst.m), ("right", inst.n)):
                     for node in range(count):
                         ref = reference_partners(res, side, node)
-                        got = res.safe_partners(side, node)
+                        got = np.flatnonzero(
+                            res.safe_mask(side, node)).tolist()
                         assert got == ref, (trial, side, node)
                         row = usable[node] if side == "left" else usable[:, node]
                         checked += 1
@@ -347,7 +348,7 @@ class TestKeptCounts:
 def reference_pick(res, side, node, round_i):
     """The per-candidate loop _pick replaced: one gain at a time, ranked
     by (preference, -gain) with a strict comparison."""
-    partners = res.safe_partners(side, node)
+    partners = np.flatnonzero(res.safe_mask(side, node)).tolist()
     if side == "left":
         cands = [(node, p) for p in partners]
     else:

@@ -33,8 +33,8 @@ class TestOutputCheck:
         pytest.param(solve_min_weight, minweight, "solve_circulation",
                      lambda net: (Matching(), 0), "min_weight",
                      id="min_weight"),
-        pytest.param(solve_diverse_greedy, greedy, "_construct",
-                     lambda inst: (Matching(), 0, ""), "greedy", id="greedy"),
+        pytest.param(solve_diverse_greedy, greedy, "_per_right_node",
+                     lambda inst: (Matching(), 0), "greedy", id="greedy"),
         pytest.param(solve_diverse_exact, exact, "_solve_right_constrained",
                      lambda inst: (Matching(), 0.0), "diverse_exact",
                      id="diverse_exact"),

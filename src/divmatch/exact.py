@@ -113,17 +113,19 @@ def warm_start(inst: Instance) -> Optional[Matching]:
     return minweight.solve_circulation(minweight.reduce_to_circulation(inst))[0]
 
 
-def _cluster_dp(tables: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_dp(tables: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                sizes: np.ndarray | list[int]
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Each right node's cheapest count in [lo, hi], and each cluster's share.
 
     tables[c, j, t - 1] is what right node j pays for cluster c's
     cheapest t members, for t up to top = max(hi), infinite where c has
-    fewer.  dp[j, t] is right node j's cheapest cost of t members from
-    the clusters so far; each cluster's min-plus step runs for every
-    right node at once.  Returns best[j], infinite where no count in
-    range is reachable, and takes[c, j], cluster c's share of it; ties
-    go to the fewest taken, in all and then per cluster.
+    fewer than t, that is past sizes[c], its member count.  dp[j, t] is
+    right node j's cheapest cost of t members from the clusters so far;
+    each cluster's min-plus step runs for every right node at once, over
+    takes up to the cluster's size.  Returns best[j], infinite where no
+    count in range is reachable, and takes[c, j], cluster c's share of
+    it; ties go to the fewest taken, in all and then per cluster.
     """
     k, n, top = tables.shape
     cols, span = np.arange(n), np.arange(top + 1)
@@ -133,9 +135,9 @@ def _cluster_dp(tables: np.ndarray, lo: np.ndarray,
     padded[:, top] = 0.0
     shift = top + span - span[:, None]
     steps = []
-    for sq in tables[..., None]:
-        cand = padded[:, shift]
-        cand[:, 1:] += sq
+    for sq, size in zip(tables[..., None], np.minimum(sizes, top).tolist()):
+        cand = padded[:, shift[:size + 1]]
+        cand[:, 1:] += sq[:, :size]
         steps.append(cand.argmin(axis=1))  # ties to the fewest taken
         padded[:, top:] = cand.min(axis=1)
     dp = np.where((span >= lo[:, None]) & (span <= hi[:, None]),
@@ -168,7 +170,8 @@ def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
     lefts = order[np.minimum(start[:, None] + rank, inst.m - 1)]
     squares = np.cumsum(w[lefts, cols], axis=1) ** 2
     squares[rank >= sizes[:, None]] = math.inf
-    best, takes = _cluster_dp(squares.transpose(0, 2, 1), demand, demand)
+    best, takes = _cluster_dp(squares.transpose(0, 2, 1), demand, demand,
+                              sizes)
     if np.isinf(best).any():
         j = int(np.argmax(np.isinf(best)))
         raise InternalError(f"right node {j} cannot meet demand "
@@ -279,7 +282,7 @@ def _lagrangian(inst: Instance, target: float, deadline: Optional[float]
         cost = squares + penalty[:, None]
         mins = np.minimum.reduceat(cost, block_start, axis=0)
         tables[fill_c, :, fill_t - 1] = mins[fill_block]
-        sub, takes = _cluster_dp(tables, r_lo, r_hi)
+        sub, takes = _cluster_dp(tables, r_lo, r_hi, sizes)
         bound = math.fsum(sub.tolist()) + float((y * offset).sum())
         # each (cluster, right node)'s subset: the first row of the
         # chosen size block that reaches the block's minimum
@@ -334,9 +337,7 @@ class _Pricer:
         m, n = inst.m, inst.n
         self.res, self.m, self.n = res, m, n
         self.clusters = inst.clusters
-        w = self.w = inst.weights
-        self.w2, self.tw = w * w, 2.0 * w
-        self.lo = np.concatenate((res.r_lo, res.l_lo))
+        self.w = inst.weights
         self.usable = np.empty((2, m, n), dtype=bool)
         self.table = np.empty((2, inst.k, n))  # cluster sums, transposed
         self.need = np.empty((2, n + m), dtype=np.int64)
@@ -375,9 +376,10 @@ class _Pricer:
         usable, table = self.usable[:size], self.table[:size]
         need, rows = self.need[:size], self.rows[:size]
         usable[:] = res.usable()
-        table[:] = res.sums.table.T
-        need[:] = self.lo - np.concatenate((res.deg_r, res.deg_l))
-        taken = int(res.deg_l.sum())  # one per taken edge
+        table[:] = res.table.T
+        need[:, :n] = res.need_r
+        need[:, n:] = res.need_l
+        taken = res.n_taken
         commits, takens = [committed], [taken]
         if edge >= 0:
             i, j = divmod(edge, n)
@@ -393,8 +395,8 @@ class _Pricer:
                 usable[0, :, j] = False
 
         # rows[s, i, j] = w2 + tw * S[j, c(i)], edge (i, j)'s gain
-        np.multiply(self.tw, table[:, self.clusters], out=rows)
-        rows += self.w2
+        np.multiply(res.tw, table[:, self.clusters], out=rows)
+        rows += res.w2
         rows[~usable] = math.inf
         self.cols[:size] = rows.transpose(0, 2, 1)
         for run, top in self.heads:

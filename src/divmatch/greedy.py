@@ -12,7 +12,9 @@ Feasible means: not yet selected, both endpoints strictly under their
 upper bounds, and a counting check that the residual lower bounds can
 still be met after taking the edge.  The counting check is evaluated
 once per pick for all of the node's candidates (Residual.safe_mask),
-from the per-node availability counts the residual keeps.  It is
+from the needs, slacks, spare-capacity masks, owed totals and taken
+count that the residual keeps; the candidates are then priced from the
+residual's w*w and 2*w terms and its cluster sums.  The check is
 necessary, not sufficient; a node left with no feasible incident edge
 is a dead end and the solve reports infeasible naming the stuck node
 rather than backtracking.
@@ -50,21 +52,24 @@ def _pick(res: Residual, side: str, node: int,
     Edges whose other endpoint still owes in this round come first; ties
     go to the first candidate in scan order.
     """
-    partners = np.flatnonzero(res.safe_mask(side, node))
+    partners = res.safe_mask(side, node).nonzero()[0]
     if partners.size == 0:
         return None, 0
-    inst = res.inst
+    # gain terms of node's edges, one entry per node on the other side
+    clusters = res.inst.clusters
     if side == "left":
-        rows, cols = node, partners
-        opp_owing = res.deg_r[cols] < np.minimum(round_i, res.r_lo[cols])
+        deg, lo = res.deg_r, res.r_lo
+        w2, tw = res.w2[node], res.tw[node]
+        sums = res.table[:, clusters[node]]
     else:
-        rows, cols = partners, node
-        opp_owing = res.deg_l[rows] < np.minimum(round_i, res.l_lo[rows])
-    w = inst.weights[rows, cols]
-    gains = w * w + 2.0 * w * res.sums.table[cols, inst.clusters[rows]]
+        deg, lo = res.deg_l, res.l_lo
+        w2, tw = res.w2[:, node], res.tw[:, node]
+        sums = res.table[node][clusters]
+    opp_owing = deg[partners] < np.minimum(round_i, lo[partners])
+    gains = w2[partners] + tw[partners] * sums[partners]
     if opp_owing.any():
         gains[~opp_owing] = math.inf
-    p = int(partners[np.argmin(gains)])
+    p = int(partners[gains.argmin()])
     return ((node, p) if side == "left" else (p, node)), partners.size
 
 
@@ -72,23 +77,25 @@ def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
     """Round-based greedy: (matching or None, gain evaluations, dead end)."""
     res = Residual(inst)
     gain_evaluations = 0
-    b = inst.bounds
-    max_lo = max((0,) + b.l_lo + b.r_lo)
+    max_lo = max((0,) + inst.bounds.l_lo + inst.bounds.r_lo)
+    sides = (("left", res.l_lo, res.deg_l), ("right", res.r_lo, res.deg_r))
     for round_i in range(1, max_lo + 1):
-        for side, count in (("left", inst.m), ("right", inst.n)):
-            for node in range(count):
-                lo = b.l_lo[node] if side == "left" else b.r_lo[node]
-                deg = res.deg_l if side == "left" else res.deg_r
-                while deg[node] < min(round_i, lo):
+        for side, lo, deg in sides:
+            # a pick at one node raises no other degree on its side, so
+            # each node's debt for the round is known at the side's start
+            debt = np.minimum(round_i, lo) - deg
+            for node in np.flatnonzero(debt > 0).tolist():
+                owes = int(debt[node])
+                while owes:
                     edge, priced = _pick(res, side, node, round_i)
                     gain_evaluations += priced
                     if edge is None:
-                        owes = min(round_i, lo) - int(deg[node])
                         return None, gain_evaluations, (
                             f"greedy dead end: {side} node {node} owes "
                             f"{owes} more edge(s) but has no feasible "
                             "incident edge")
                     res.decide(*edge, True)
+                    owes -= 1
     return res.matching(), gain_evaluations, ""
 
 

@@ -135,6 +135,31 @@ def _reference_right_dp(inst):
     return Matching(edges), cost
 
 
+def _reference_cluster_dp(tables, lo, hi):
+    """_cluster_dp with every cluster's take axis running to max(hi),
+    past the cluster's size, as it did before the axis was capped."""
+    k, n, top = tables.shape
+    cols, span = np.arange(n), np.arange(top + 1)
+    padded = np.full((n, 2 * top + 1), math.inf)
+    padded[:, top] = 0.0
+    shift = top + span - span[:, None]
+    steps = []
+    for sq in tables[..., None]:
+        cand = padded[:, shift]
+        cand[:, 1:] += sq
+        steps.append(cand.argmin(axis=1))
+        padded[:, top:] = cand.min(axis=1)
+    dp = np.where((span >= lo[:, None]) & (span <= hi[:, None]),
+                  padded[:, top:], math.inf)
+    t = dp.argmin(axis=1)
+    best = dp[cols, t]
+    takes = np.empty((k, n), dtype=np.int64)
+    for c in range(k - 1, -1, -1):
+        takes[c] = steps[c][cols, t]
+        t = t - takes[c]
+    return best, takes
+
+
 class TestRightOnlyDP:
     def test_matches_the_per_node_loop(self):
         rng = np.random.default_rng(1013)
@@ -164,6 +189,40 @@ class TestRightOnlyDP:
             seen["tied weights"] += trial % 2
             seen["n = 1"] += n == 1
         assert min(seen.values()) >= 30, seen
+
+    def test_capped_dp_matches_the_uncapped_one(self):
+        # Small integer costs tie often; entries past a cluster's size
+        # are infinite, as its callers build them, and some right nodes
+        # get an all-infinite column in one cluster or in every one.
+        rng = np.random.default_rng(1019)
+        seen = {"tie": 0, "column infinite in one cluster": 0,
+                "column infinite everywhere": 0, "size past top": 0,
+                "unreachable": 0}
+        for trial in range(400):
+            k, n, top = (int(v) for v in rng.integers(1, [5, 6, 7]))
+            sizes = rng.integers(0, top + 3, k)
+            tables = rng.integers(0, 4, (k, n, top)).astype(float)
+            tables = np.where(np.arange(top) >= sizes[:, None, None],
+                              math.inf, tables)
+            if trial % 3 == 0:
+                tables[rng.integers(k), rng.integers(n)] = math.inf
+                seen["column infinite in one cluster"] += 1
+            if trial % 5 == 0:
+                tables[:, rng.integers(n)] = math.inf
+                seen["column infinite everywhere"] += 1
+            hi = rng.integers(0, top + 1, n)
+            hi[rng.integers(n)] = top
+            lo = rng.integers(0, hi + 1)
+            best, takes = exact._cluster_dp(tables, lo, hi, sizes)
+            ref_best, ref_takes = _reference_cluster_dp(tables, lo, hi)
+            np.testing.assert_array_equal(best, ref_best, err_msg=str(trial))
+            np.testing.assert_array_equal(takes, ref_takes,
+                                          err_msg=str(trial))
+            finite = tables[np.isfinite(tables)]
+            seen["tie"] += len(np.unique(finite)) < len(finite)
+            seen["size past top"] += bool((sizes > top).any())
+            seen["unreachable"] += bool(np.isinf(best).any())
+        assert min(seen.values()) >= 60, seen
 
     def test_unmeetable_demand_names_the_right_node(self):
         # DegreeBounds rejects R_hi above m, so a stand-in with the fields

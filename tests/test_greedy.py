@@ -283,19 +283,30 @@ class TestSafePartners:
 
 
 def kept_counts_hold(res):
-    """Whether res's kept availability counts equal a count from scratch."""
+    """Whether every value res keeps for the counting check equals a
+    count from scratch: needs, free masks, slacks, owed totals and the
+    taken count."""
+    deg_l, deg_r = res.taken.sum(axis=1), res.taken.sum(axis=0)
+    need_l, need_r = res.l_lo - deg_l, res.r_lo - deg_r
+    free_l, free_r = deg_l < res.l_hi, deg_r < res.r_hi
     open_ = ~res.closed
-    return (np.array_equal(res.avail_l,
-                           (open_ & (res.deg_r < res.r_hi)).sum(axis=1))
-            and np.array_equal(res.avail_r,
-                               (open_ & (res.deg_l < res.l_hi)[:, None])
-                               .sum(axis=0)))
+    slack_l = (open_ & free_r).sum(axis=1) - need_l
+    slack_r = (open_ & free_l[:, None]).sum(axis=0) - need_r
+    kept = [(res.deg_l, deg_l), (res.deg_r, deg_r),
+            (res.need_l, need_l), (res.need_r, need_r),
+            (res.free_l, free_l), (res.free_r, free_r),
+            (res.slack_l, slack_l), (res.slack_r, slack_r),
+            (res.owed_l, np.maximum(need_l, 0).sum()),
+            (res.owed_r, np.maximum(need_r, 0).sum()),
+            (res.n_taken, res.taken.sum())]
+    return all(np.array_equal(got, want) for got, want in kept)
 
 
 class TestKeptCounts:
     def test_match_a_count_from_scratch_on_random_walks(self):
         # Takes, forbids of usable and unusable edges, and undos back to
-        # the root; the counts must equal a fresh count after each step.
+        # the root; the kept values must equal a fresh count after each
+        # step.
         rng = np.random.default_rng(361)
         states, fills = 0, [0, 0]  # rows and columns filled
         for trial in range(300):
@@ -390,6 +401,25 @@ class TestPick:
             assert got[1:] == ref[1:], trial
             dead_ends += got[0] is None
         assert 10 <= dead_ends <= 230
+
+
+class TestPinnedTwoSided:
+    def test_pinned_output_at_the_bnb_proof_shape(self):
+        # 8x6 with every left node owing one edge and every right node
+        # two, as in perfbench's bnb-proof workload: the round-based path
+        # with both sides' counting checks in play.
+        solves = []
+        for k in (3, 4):
+            for t in range(4):
+                rep = solve_diverse_greedy(gen_instance(GeneratorConfig(
+                    m=8, n=6, k=k, l_lo=1, l_hi=6, r_lo=2, r_hi=8,
+                    seed=(2026, k, t))))
+                assert rep.telemetry["fast_path"] is False
+                solves.append([list(map(list, rep.matching.edges)),
+                               rep.telemetry["gain_evaluations"]])
+        digest = hashlib.sha256(json.dumps(solves).encode()).hexdigest()
+        assert digest == ("4f6a43380a9d00c8eaf63813f8e2dc11"
+                          "8d647d7562f830aa00617a15084e7784")
 
 
 SCALING_200X100 = GeneratorConfig(m=200, n=100, k=5, l_lo=1, l_hi=100,

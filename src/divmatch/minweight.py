@@ -19,23 +19,39 @@ takes its r_lo[j] lightest left nodes (ties to the lowest index) and
 gets the potential theta_j, the heaviest weight it took; on the left
 side, the mirror image, with potential -theta_i on left node i.  Every
 residual arc then has a nonnegative reduced cost except arcs out of the
-super sink and into the super source, which no shortest path from the
-super source to the super sink uses.  Once every lower bound is met,
-every arc out of the super source and into the super sink is saturated,
-so no residual cycle passes through either and the flow is optimal.
-A side is usable only if no node on the other side goes past its upper
-bound; of the usable sides the one that leaves fewer units unrouted
-wins (the right side on a tie), and with neither the solve starts cold
-(Ahuja, Magnanti and Orlin, Network Flows, ch. 9).
+super sink and into or out of the super source, which no shortest path
+relaxes.  A side is usable only if no node on the other side goes past
+its upper bound; of the usable sides the one that leaves fewer units
+unrouted wins (the right side on a tie), and with neither the solve
+starts cold.
+
+Successive shortest paths then route one excess at a time (Ahuja,
+Magnanti and Orlin, Network Flows, ch. 9).  Each Dijkstra starts at the
+head of the super source's first arc that still has capacity, in
+adjacency order (the detour arc to the sink, then the requirement arcs
+by left node), at distance 0, and never relaxes an arc into or out of
+the super source, so those arcs' reduced costs may go negative.  This is
+exact for two reasons:
+- once every lower bound is met, every arc out of the super source and
+  into the super sink is saturated, so no residual cycle passes through
+  either and the flow is optimal;
+- on a feasible instance, the difference between an optimal flow and
+  the current one decomposes into paths and cycles, and one path runs
+  over the start arc: from its head to the super sink without touching
+  the super source again.
+After a right warm start every left node it left short sits at reduced
+distance 0 from the super source, so a search from the super source
+itself would pop all of them on every path.
 
 Arc order is fixed: supplies by left node, edges in (left, right)
 lexicographic order, demands by right node, the bypass, then the
 requirement arcs by node id.  Successive shortest paths break ties on
 this order (heap ties on node id, strict relaxation), so which optimum
-is returned among several of the same weight is fixed by the arc order
-and the warm start.  On right_only instances the warm start routes
-everything: each right node takes its lightest left nodes, lowest index
-first.
+is returned among several of the same weight is fixed by the arc order,
+the warm start and the start arc of each path.  On right_only instances
+the warm start routes everything: each right node takes its lightest
+left nodes, lowest index first.  The supply arcs and the edge block are
+laid out in bulk, entry for entry what one Graph.add per arc would give.
 
 The warm start is chosen before any arc is built, and the residual
 graph is built on first access (FlowNetwork.graph).  When the warm
@@ -98,28 +114,43 @@ class Graph:
     def min_cost_flow(self, s: int, t: int) -> tuple[int, int]:
         """Route flow s->t at minimum cost by successive shortest paths.
 
-        Stops once the arcs out of s are saturated or t is out of reach.
-        Dijkstra runs on reduced costs under pot: every arc it relaxes
-        must have a nonnegative reduced cost.  It never relaxes an arc
-        into s and stops once no key left can beat t's distance, so arcs
-        out of t and into s may start negative (a warm start leaves them
-        so).  Returns (flow, augmentations).  A reduced cost below -1e-9
-        times the summed arc costs means the potentials broke, which
-        raises InternalError; the tolerance scales with the weights so
-        rounding at any weight scale passes.
+        Routes one excess at a time: each Dijkstra starts at the head of
+        s's first arc that still has capacity, in adj order, at distance
+        0 with that arc as its parent, and never relaxes an arc into or
+        out of s.  This is exact because every arc out of s ends
+        saturated, so no residual cycle passes through s, and because
+        while the flow can still be completed there is a residual path
+        from that head to t that avoids s (decompose the difference
+        between an optimal flow and the current one).  Arcs into and out
+        of s may therefore carry negative reduced costs, and so may arcs
+        out of t: Dijkstra stops once no key left can beat t's distance
+        (a warm start leaves such arcs so).  Every arc it relaxes must
+        have a nonnegative reduced cost under pot.  Stops once the arcs
+        out of s are saturated or t is out of reach of the next head.
+        Returns (flow, augmentations).  A reduced cost below -1e-9 times
+        the summed arc costs means the potentials broke, which raises
+        InternalError; the tolerance scales with the weights so rounding
+        at any weight scale passes.
         """
         num = len(self.adj)
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         pot = self.pot
         tol = 1e-9 * sum(cost[0::2])
-        limit = sum(cap[a] for a in adj[s])
+        out_s = adj[s]
+        limit = sum(cap[a] for a in out_s)
         flow = 0
         augmentations = 0
+        nxt = 0  # arcs out of s only fill up, so the first open one moves on
         while flow < limit:
+            while cap[out_s[nxt]] <= 0:
+                nxt += 1
+            first = out_s[nxt]
+            head = to[first]
             dist = [math.inf] * num
             parent_arc = [-1] * num
-            dist[s] = 0.0
-            heap = [(0.0, s)]
+            dist[head] = 0.0
+            parent_arc[head] = first
+            heap = [(0.0, head)]
             while heap:
                 d, u = heapq.heappop(heap)
                 if d > dist[u]:
@@ -147,8 +178,7 @@ class Graph:
             dt = dist[t]
             if math.isinf(dt):
                 break
-            for v in range(num):
-                pot[v] += min(dist[v], dt)
+            pot[:] = [p + (d if d <= dt else dt) for p, d in zip(pot, dist)]
             bottleneck = math.inf
             v = t
             while v != s:
@@ -228,11 +258,29 @@ def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
     left0, right0 = 2, 2 + m
     ss, tt = 2 + m + n, 3 + m + n
     g = Graph(4 + m + n)
-    supply = [g.add(s, left0 + i, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
-    first = len(g.to)
-    for u, row in enumerate(inst.weights.tolist(), left0):
-        for v, w in enumerate(row, right0):
-            g.add(u, v, 1, w)
+    # The supply arcs and the edge block in bulk, entry for entry what
+    # Graph.add would lay out: reverse arcs have capacity 0 and the
+    # negated cost (-0.0 on the supply arcs).
+    first, end = 2 * m, 2 * m + 2 * m * n
+    supply = range(0, first, 2)
+    g.to = [s] * end
+    g.to[0:first:2] = range(left0, left0 + m)
+    g.to[first:end:2] = list(range(right0, right0 + n)) * m
+    g.to[first + 1:end:2] = [u for u in range(left0, left0 + m)
+                             for _ in range(n)]
+    g.cap = [0] * end
+    g.cap[0:first:2] = [hi - lo for lo, hi in zip(b.l_lo, b.l_hi)]
+    g.cap[first:end:2] = [1] * (m * n)
+    g.cost = [-0.0] * end
+    g.cost[0:first:2] = [0.0] * m
+    g.cost[first:end:2] = inst.weights.ravel().tolist()
+    g.cost[first + 1:end:2] = (-inst.weights).ravel().tolist()
+    g.adj[s] = list(supply)
+    for i in range(m):
+        g.adj[left0 + i] = [2 * i + 1, *range(first + 2 * n * i,
+                                              first + 2 * n * (i + 1), 2)]
+    for j in range(n):
+        g.adj[right0 + j] = list(range(first + 2 * j + 1, end, 2 * n))
     demand = [g.add(right0 + j, t, b.r_hi[j] - b.r_lo[j]) for j in range(n)]
     bypass = g.add(t, s, min(sum(b.l_hi), sum(b.r_hi)))
 

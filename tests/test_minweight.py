@@ -1,5 +1,8 @@
 """Tests for the exact minimum-weight solver (cost-scaling free, flow based)."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from divmatch import (
     GeneratorConfig,
     INFEASIBLE,
     Instance,
+    Matching,
     OBJECTIVE_WEIGHT,
     OPTIMAL,
     brute_force,
@@ -20,6 +24,7 @@ from divmatch import (
     solve_min_weight,
     total_weight,
 )
+from divmatch.minweight import Graph, _lower
 from conftest import random_instance
 
 
@@ -280,6 +285,206 @@ class TestArcStructure:
         assert zero_lo >= 15
 
 
+def arc_by_arc_lower(inst, warm):
+    """The lowered graph built one Graph.add call per arc, in the
+    documented order, with warm's flow and potentials; the reference for
+    _lower's bulk layout."""
+    m, n = inst.m, inst.n
+    b = inst.bounds
+    s, t = 0, 1
+    left0, right0 = 2, 2 + m
+    ss, tt = 2 + m + n, 3 + m + n
+    g = Graph(4 + m + n)
+    supply = [g.add(s, left0 + i, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
+    first = len(g.to)
+    for u, row in enumerate(inst.weights.tolist(), left0):
+        for v, w in enumerate(row, right0):
+            g.add(u, v, 1, w)
+    demand = [g.add(right0 + j, t, b.r_hi[j] - b.r_lo[j]) for j in range(n)]
+    bypass = g.add(t, s, min(sum(b.l_hi), sum(b.r_hi)))
+    total_l, total_r = sum(b.l_lo), sum(b.r_lo)
+    s_tt = g.add(s, tt, total_l) if total_l > 0 else -1
+    ss_t = g.add(ss, t, total_r) if total_r > 0 else -1
+    ss_left = [g.add(ss, left0 + i, lo) if lo > 0 else -1
+               for i, lo in enumerate(b.l_lo)]
+    right_tt = [g.add(right0 + j, tt, lo) if lo > 0 else -1
+                for j, lo in enumerate(b.r_lo)]
+    if warm is None:
+        return g
+    deg_l, deg_r = [0] * m, [0] * n
+    for i, j in warm.edges:
+        g.push(first + 2 * (i * n + j), 1)
+        deg_l[i] += 1
+        deg_r[j] += 1
+    for deg, lows, req, free, detour in (
+            (deg_l, b.l_lo, ss_left, supply, s_tt),
+            (deg_r, b.r_lo, right_tt, demand, ss_t)):
+        met = 0
+        for node, (d, lo) in enumerate(zip(deg, lows)):
+            if lo > 0:
+                g.push(req[node], min(d, lo))
+                met += min(d, lo)
+            if d > lo:
+                g.push(free[node], d - lo)
+        if met:
+            g.push(detour, met)
+    g.push(bypass, len(warm.edges))
+    node0, sign = (right0, 1.0) if warm.side == "right" else (left0, -1.0)
+    g.pot[node0:node0 + warm.theta.size] = (sign * warm.theta).tolist()
+    return g
+
+
+class TestBulkLowering:
+    # _lower lays out the supply arcs and the edge block in bulk; every
+    # entry must equal the arc-by-arc build's, the -0.0 costs of the
+    # reverse arcs included, so arc ids, adj order and tie-breaks hold.
+
+    @staticmethod
+    def assert_same_graph(inst):
+        warm = reduce_to_circulation(inst).warm
+        g, ref = _lower(inst, warm), arc_by_arc_lower(inst, warm)
+        assert g.adj == ref.adj
+        assert g.to == ref.to
+        assert g.cap == ref.cap
+        assert g.pot == ref.pot
+        # == alone would let a 0.0 stand for a -0.0
+        signed = [(c, math.copysign(1.0, c)) for c in g.cost]
+        assert signed == [(c, math.copysign(1.0, c)) for c in ref.cost]
+        return None if warm is None else warm.side
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(271)
+        sides = set()
+        zero_lo = zero_hi = 0
+        for trial in range(120):
+            inst = random_instance(rng, max_m=7, max_n=7, max_cells=49,
+                                   per_node=True)
+            b = inst.bounds
+            if trial % 4 == 0:
+                b = DegreeBounds.broadcast(inst.m, inst.n, 0, b.l_hi, 0,
+                                           b.r_hi)
+                inst = Instance(inst.weights, inst.clusters, inst.k, b)
+            zero_lo += not any(b.l_lo) and not any(b.r_lo)
+            zero_hi += 0 in b.l_hi or 0 in b.r_hi
+            sides.add(self.assert_same_graph(inst))
+        assert sides == {"right", "left", None}
+        assert zero_lo >= 30 and zero_hi >= 30
+
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5,
+                        seed=(7, 4, 0)),
+        GeneratorConfig(m=8, n=6, k=3, l_lo=1, l_hi=6, r_lo=2, r_hi=8,
+                        seed=(7, 8, 6, 3, 0)),
+        GeneratorConfig(m=25, n=10, k=5, l_lo=1, l_hi=10, r_lo=3, r_hi=25,
+                        seed=(7, 25)),
+        GeneratorConfig(m=200, n=100, k=5, l_lo=1, l_hi=100, r_lo=3,
+                        r_hi=200, seed=(7, 200)),
+    ], ids=["fig2-sweep", "bnb-proof", "large-flow-25x10",
+            "large-flow-200x100"])
+    def test_benchmark_shapes(self, cfg):
+        self.assert_same_graph(gen_instance(cfg))
+
+
+class TestPinnedAnswers:
+    # Digests of min weight's answers.  The 200x100 ones hold edges and
+    # augmentations of instances whose optimum is unique; the tied batch
+    # holds answers among equal-weight optima, so a change of tie-break
+    # (arc order, warm start or start arc) must update it on purpose.
+
+    @staticmethod
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed, augmentations, want", [
+        (7, 38 + 1,
+         "8c7fd911b93c3fb0b9a44dd2115ec2823a99aa8116b7a8876949d27d83babe00"),
+        (1009, 43 + 1,
+         "8adb3b30af8902917db5b81afac1ee772c291e14cad53ffb8fb3543c73a027c3"),
+    ])
+    def test_full_size(self, seed, augmentations, want):
+        inst = gen_instance(GeneratorConfig(m=200, n=100, k=5, l_lo=1,
+                                            l_hi=100, r_lo=3, r_hi=200,
+                                            seed=(seed, 200)))
+        rep = solve_min_weight(inst)
+        assert rep.telemetry["augmentations"] == augmentations
+        assert self.digest((rep.matching.edges, augmentations)) == want
+
+    def test_tied_batch(self):
+        rng = np.random.default_rng(262)
+        answers = []
+        for trial in range(240):
+            inst = random_instance(rng, max_m=8, max_n=8, max_cells=64,
+                                   per_node=trial % 2 == 1)
+            tied = Instance(np.floor(3 * inst.weights), inst.clusters,
+                            inst.k, inst.bounds)
+            rep = solve_min_weight(tied)
+            answers.append(None if rep.matching is None
+                           else rep.matching.edges)
+        assert sum(a is not None for a in answers) == 143
+        assert self.digest(answers) == (
+            "0269261baf31af9cbbc9dcedd411abf7f0d6aa16cc046ef9bea30d598d4fd685")
+
+
+class TestOneExcessStart:
+    # Each shortest path starts at the head of the super source's first
+    # open arc.  Where several arcs are open (cold starts with lower
+    # bounds on both sides, right warm starts that leave two or more left
+    # nodes short), min_cost_flow must still send need, at optimal weight.
+
+    @staticmethod
+    def route(inst):
+        """(weight, kind) of min_cost_flow's answer on a feasible inst;
+        kind is "cold" or "right" when the super source starts with two
+        or more open arcs after that kind of start, else None."""
+        net = reduce_to_circulation(inst)
+        g = net.graph
+        opened = sum(g.cap[a] > 0 for a in g.adj[net.source])
+        b = inst.bounds
+        kind = None
+        if opened >= 2:
+            if net.warm_side is None and any(b.l_lo) and any(b.r_lo):
+                kind = "cold"
+            elif net.warm_side == "right":
+                kind = "right"
+        sent, _ = g.min_cost_flow(net.source, net.sink)
+        assert sent == net.need
+        match = Matching(decoded_edges(net))
+        ok, violations = check_matching(inst, match)
+        assert ok, violations
+        return total_weight(inst, match), kind
+
+    @staticmethod
+    def draws(rng, trials, **shape):
+        """The feasible ones of trials per-node random instances."""
+        for _ in range(trials):
+            inst = random_instance(rng, per_node=True, **shape)
+            if is_feasible_bounds(inst)[0]:
+                yield inst
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(281)
+        budget = EnumerationBudget(max_subsets=1 << 16, max_wall_s=60.0)
+        kinds = {"cold": 0, "right": 0, None: 0}
+        for inst in self.draws(rng, 900, max_m=4, max_n=4, max_cells=16):
+            weight, kind = self.route(inst)
+            kinds[kind] += 1
+            oracle = brute_force(inst, OBJECTIVE_WEIGHT, budget)
+            np.testing.assert_allclose(weight, oracle.total_weight,
+                                       rtol=0, atol=1e-9)
+        assert kinds["cold"] >= 25 and kinds["right"] >= 10
+
+    def test_matches_linprog(self):
+        rng = np.random.default_rng(282)
+        kinds = {"cold": 0, "right": 0, None: 0}
+        for inst in self.draws(rng, 240, max_m=12, max_n=12, max_cells=144):
+            weight, kind = self.route(inst)
+            kinds[kind] += 1
+            lp = TestLinprog.solve_lp(inst)
+            assert lp.status == 0, lp.message
+            np.testing.assert_allclose(weight, lp.fun, rtol=1e-9, atol=1e-9)
+        assert kinds["cold"] >= 50 and kinds["right"] >= 15
+
+
 class TestLinprog:
     # An independent solver on the LP relaxation: the degree-bounded
     # polytope is totally unimodular, so its optimum is integral and
@@ -325,8 +530,10 @@ class TestLinprog:
 
     def test_agrees_with_linprog_at_full_size(self):
         # run_scaling's 200x100 shape: the right warm start leaves 38
-        # units, routed by 38 Dijkstras that each stop once nothing left
-        # to pop can beat the super sink.
+        # left nodes uncovered, routed by 38 Dijkstras.  Each starts at
+        # the head of the super source's first open arc (the next
+        # uncovered left node) and stops once nothing left to pop can
+        # beat the super sink.
         inst = gen_instance(GeneratorConfig(m=200, n=100, k=5, l_lo=1,
                                             l_hi=100, r_lo=3, r_hi=200,
                                             seed=(7, 200)))

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from typing import Optional
 
@@ -86,7 +87,8 @@ from .errors import ConfigError, InternalError
 # go unused here, but perfbench/tracing.py's PATCHES patches them in this
 # module by name
 from .greedy import solve_diverse_greedy
-from .instance import Instance, Matching, check_matching, is_feasible_bounds
+from .instance import (Instance, Matching, _full_cost, check_matching,
+                       is_feasible_bounds)
 from .minweight import solve_min_weight
 from .objective import diversity_cost, total_weight
 from .report import FEASIBLE_INCUMBENT, INFEASIBLE, OPTIMAL, SolveReport, _finish
@@ -534,11 +536,15 @@ def solve_diverse_exact(inst: Instance,
     feasible_incumbent when budget_ms elapses first.  The budget is
     checked before every Lagrangian step and between search nodes only,
     so the warm start and root pricing always run and a feasible
-    instance always gets a matching; a negative, NaN or bool budget
-    raises ConfigError.  Telemetry lower_bound is a certified floor on
-    the optimum and gap the returned cost's relative distance above it.
+    instance always gets a matching.  A budget that is not a
+    nonnegative real number (a bool, numpy's included, a string, a
+    complex number, NaN) raises ConfigError.  Telemetry lower_bound is
+    a certified floor on the optimum and gap the returned cost's
+    relative distance above it.
     """
-    if isinstance(budget_ms, bool) or budget_ms is not None and not budget_ms >= 0:
+    if budget_ms is not None and (
+            isinstance(budget_ms, bool)
+            or not isinstance(budget_ms, numbers.Real) or not budget_ms >= 0):
         raise ConfigError(
             f"budget_ms must be a nonnegative number, got {budget_ms!r}")
     start = time.perf_counter()
@@ -564,9 +570,8 @@ def solve_diverse_exact(inst: Instance,
     # the tracked cost adds gains read off sums that heavy edges have
     # passed through, so its rounding scales with the cost of selecting
     # every edge, not with the incumbent's own cost
-    full = np.zeros((inst.k, inst.n))
-    np.add.at(full, inst.clusters, inst.weights)
-    if abs(value - tracked) > 1e-9 * float((full * full).sum()):
+    if abs(value - tracked) > 1e-9 * _full_cost(inst.weights, inst.clusters,
+                                                inst.k):
         raise InternalError(
             f"incumbent value drifted: tracked {tracked}, actual {value}")
     if lower_bound is None:  # the dynamic program's answer is the optimum

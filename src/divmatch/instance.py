@@ -48,6 +48,17 @@ def _is_sequence(value) -> bool:
             or isinstance(value, np.ndarray) and value.ndim > 0)
 
 
+def _full_cost(weights: np.ndarray, clusters: np.ndarray, k: int) -> float:
+    """The concentration cost of selecting every edge, an upper bound on
+    every matching's: sum over right nodes j and clusters c of (sum of
+    weights[i, j] over i in c) squared; inf where that overflows."""
+    n = weights.shape[1]
+    cells = (clusters[:, None] * n + np.arange(n)).ravel()
+    full = np.bincount(cells, weights.ravel(), k * n)
+    with np.errstate(over="ignore"):
+        return float((full * full).sum())
+
+
 @dataclass(frozen=True)
 class DegreeBounds:
     """Per-node degree intervals for both sides of the graph.
@@ -103,8 +114,9 @@ class Instance:
 
     Construction validates everything: weights must be finite and
     nonnegative, cluster ids must cover {0..k-1} with no gaps (an empty
-    cluster is a rejected input, not a silent renumbering), and bounds
-    must be a DegreeBounds (which checks itself) sized m by n.
+    cluster is a rejected input, not a silent renumbering), bounds must
+    be a DegreeBounds (which checks itself) sized m by n, and the
+    concentration cost of selecting every edge must be finite.
     Instances are safe to share across concurrent solver runs.
 
     The first is_feasible_bounds call keeps its verdict in a private
@@ -150,6 +162,10 @@ class Instance:
         if len(used) != k:
             missing = sorted(set(range(k)) - set(used.tolist()))
             raise InstanceError(f"cluster ids {missing} unused; k = {k} must be tight")
+        # every solver costs its answer, so that cost must stay finite
+        if not np.isfinite(_full_cost(w, c, k)):
+            raise InstanceError("weights too large: the concentration cost "
+                                "of selecting every edge overflows")
 
         if not isinstance(bounds, DegreeBounds):
             raise InstanceError("bounds must be a DegreeBounds")

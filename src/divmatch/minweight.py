@@ -53,10 +53,13 @@ the warm start routes everything: each right node takes its lightest
 left nodes, lowest index first.  The supply arcs and the edge block are
 laid out in bulk, entry for entry what one Graph.add per arc would give.
 
-The warm start is chosen before any arc is built, and the residual
-graph is built on first access (FlowNetwork.graph).  When the warm
-start leaves nothing to route (need 0) its flow is optimal as it
-stands, so solve_circulation returns its picks and builds no graph.
+Nodes are numbered 0 = source, 1 = sink, then the m left nodes, the n
+right nodes, the super source 2 + m + n and the super sink 3 + m + n.
+reduce_to_circulation chooses the warm start before any arc is built,
+and its FlowNetwork records only that choice.  When the warm start
+leaves nothing to route (need 0) its flow is optimal as it stands, so
+solve_circulation returns its picks and builds no graph; otherwise it
+builds the residual graph, routes the rest and decodes the matching.
 """
 
 from __future__ import annotations
@@ -65,8 +68,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -196,16 +198,6 @@ class Graph:
         return flow, augmentations
 
 
-class _Warm(NamedTuple):
-    """A warm start: each taker node takes its lightest edges to fed
-    nodes (see the module docstring)."""
-
-    side: str  # the taker side
-    short: int  # units the fed side's lower bounds still lack
-    edges: list[tuple[int, int]]  # the picks, as (left, right) pairs
-    theta: np.ndarray  # per taker node, the heaviest weight it took
-
-
 def _lightest(w: np.ndarray, lo: np.ndarray):
     """Each column j's lo[j] lightest rows, ties to the lowest row.
 
@@ -223,35 +215,53 @@ def _lightest(w: np.ndarray, lo: np.ndarray):
     return rows, cols, np.bincount(rows, minlength=m), theta
 
 
-def _warm_start(inst: Instance) -> Optional[_Warm]:
-    """The usable side that leaves fewer units unrouted, the right side
-    on a tie, or None when neither side is usable."""
+@dataclass(frozen=True)
+class FlowNetwork:
+    """The warm start of one instance's lowered circulation.
+
+    warm_side is "right" or "left" for the side whose lower bounds the
+    warm start met, None for a cold start.  picks are its edges as
+    (left, right) pairs, and theta holds, per node of warm_side, the
+    heaviest weight it took (None for a cold start).  need is the number
+    of units still to route from the super source to the super sink
+    after the warm start; all lower bounds are met when they arrive.
+    """
+
+    inst: Instance = field(repr=False)
+    need: int
+    warm_side: Optional[str] = None
+    picks: list[tuple[int, int]] = field(default_factory=list, repr=False)
+    theta: Optional[np.ndarray] = field(default=None, repr=False)
+
+
+def reduce_to_circulation(inst: Instance) -> FlowNetwork:
+    """Warm-start the lowered circulation of inst: the usable side that
+    leaves fewer units unrouted, the right side on a tie, or a cold
+    start when neither side is usable."""
     b = inst.bounds
-    lo = {"right": b.r_lo, "left": b.l_lo}
-    hi = {"right": b.r_hi, "left": b.l_hi}
-    weights = {"right": inst.weights, "left": inst.weights.T}
-    best = None
-    for side, other in (("right", "left"), ("left", "right")):
-        if not any(lo[side]):
+    net = FlowNetwork(inst, sum(b.l_lo) + sum(b.r_lo))
+    for side, lo, other_lo, other_hi, w in (
+            ("right", b.r_lo, b.l_lo, b.l_hi, inst.weights),
+            ("left", b.l_lo, b.r_lo, b.r_hi, inst.weights.T)):
+        if not any(lo):
             continue
-        fed_ids, taker_ids, deg, theta = _lightest(weights[side],
-                                                   np.array(lo[side]))
-        if np.any(deg > hi[other]):
+        fed, taker, deg, theta = _lightest(w, np.array(lo))
+        if np.any(deg > other_hi):
             continue
-        short = int(np.maximum(np.array(lo[other]) - deg, 0).sum())
-        if best is None or short < best.short:
-            left, right = ((fed_ids, taker_ids) if side == "right"
-                           else (taker_ids, fed_ids))
-            best = _Warm(side, short, list(zip(left.tolist(), right.tolist())),
-                         theta)
+        short = int(np.maximum(np.array(other_lo) - deg, 0).sum())
+        if net.warm_side is None or short < net.need:
+            left, right = (fed, taker) if side == "right" else (taker, fed)
+            net = FlowNetwork(inst, short, side,
+                              list(zip(left.tolist(), right.tolist())), theta)
         if short == 0:
             break
-    return best
+    return net
 
 
-def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
-    """The residual graph of inst in the documented arc order, carrying
-    warm's flow and potentials."""
+def _lower(net: FlowNetwork) -> Graph:
+    """The residual graph of net's instance in the documented arc order,
+    carrying the warm start's flow and potentials."""
+    inst = net.inst
     m, n = inst.m, inst.n
     b = inst.bounds
     s, t = 0, 1
@@ -291,7 +301,7 @@ def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
                for i, lo in enumerate(b.l_lo)]
     right_tt = [g.add(right0 + j, tt, lo) if lo > 0 else -1
                 for j, lo in enumerate(b.r_lo)]
-    if warm is None:
+    if net.warm_side is None:
         return g
 
     # The warm start.  Each node carries its picks on its requirement arc
@@ -299,7 +309,7 @@ def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
     # arc; each detour arc carries what its side's requirement arcs carry,
     # and the bypass every pick.
     deg_l, deg_r = [0] * m, [0] * n
-    for i, j in warm.edges:
+    for i, j in net.picks:
         g.push(first + 2 * (i * n + j), 1)
         deg_l[i] += 1
         deg_r[j] += 1
@@ -315,54 +325,11 @@ def _lower(inst: Instance, warm: Optional[_Warm]) -> Graph:
                 g.push(free[node], d - lo)
         if met:
             g.push(detour, met)
-    g.push(bypass, len(warm.edges))
-    node0, sign = (right0, 1.0) if warm.side == "right" else (left0, -1.0)
-    g.pot[node0:node0 + warm.theta.size] = (sign * warm.theta).tolist()
+    g.push(bypass, len(net.picks))
+    node0, sign = ((right0, 1.0) if net.warm_side == "right"
+                   else (left0, -1.0))
+    g.pot[node0:node0 + net.theta.size] = (sign * net.theta).tolist()
     return g
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """The lowered circulation of one instance, ready for one solve.
-
-    Node layout: 0 = source, 1 = sink, 2..2+m-1 = left nodes,
-    2+m..2+m+n-1 = right nodes, then the super source and super sink.
-    need is the number of units still to route from the super source to
-    the super sink after the warm start; all lower bounds are met when
-    they arrive.  warm_side is "right" or "left" for the side whose
-    lower bounds the warm start met, None when it routed nothing.
-    edge_arcs[i][j] is the arc of edge (i, j).  graph, the residual
-    graph with the warm start's flow, is built on first access; a solve
-    with need 0 reads the warm start's picks and builds none.  A solve
-    leaves its flow in the graph, so each network serves one solve.
-    """
-
-    inst: Instance = field(repr=False)
-    source: int
-    sink: int
-    need: int
-    edge_arcs: tuple[range, ...] = field(repr=False)
-    warm: Optional[_Warm] = field(default=None, repr=False)
-
-    @property
-    def warm_side(self) -> Optional[str]:
-        return None if self.warm is None else self.warm.side
-
-    @cached_property
-    def graph(self) -> Graph:
-        return _lower(self.inst, self.warm)
-
-
-def reduce_to_circulation(inst: Instance) -> FlowNetwork:
-    """Lower the degree bounds of inst into one warm-started circulation."""
-    m, n = inst.m, inst.n
-    # edge arcs follow the m supply arcs
-    edge_arcs = tuple(range(2 * m + 2 * n * i, 2 * m + 2 * n * (i + 1), 2)
-                      for i in range(m))
-    warm = _warm_start(inst)
-    b = inst.bounds
-    need = sum(b.l_lo) + sum(b.r_lo) if warm is None else warm.short
-    return FlowNetwork(inst, 2 + m + n, 3 + m + n, need, edge_arcs, warm)
 
 
 def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
@@ -375,19 +342,21 @@ def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
     Raises InternalError if the lower bounds cannot be met; callers are
     expected to have run is_feasible_bounds first.
     """
+    warmed = int(net.warm_side is not None)
     if net.need == 0:
-        picks = [] if net.warm is None else net.warm.edges
-        return Matching._trusted(picks), int(net.warm is not None)
-    g = net.graph
-    sent, augmentations = g.min_cost_flow(net.source, net.sink)
+        return Matching._trusted(net.picks), warmed
+    m, n = net.inst.m, net.inst.n
+    g = _lower(net)
+    sent, augmentations = g.min_cost_flow(2 + m + n, 3 + m + n)
     if sent != net.need:
         raise InternalError(
             "circulation lower bounds unmet despite feasibility pre-check")
-    # a row's reverse arcs hold its edges' flows
-    edges = [(i, j) for i, row in enumerate(net.edge_arcs)
-             for j, flow in enumerate(g.cap[row.start + 1:row.stop:2])
-             if flow]
-    return Matching._trusted(edges), augmentations + (net.warm_side is not None)
+    # row i's edge arcs follow the m supply arcs, n to a row; their
+    # reverse arcs hold the edges' flows
+    edges = [(i, j) for i, row in enumerate(range(2 * m, 2 * m + 2 * m * n,
+                                                  2 * n))
+             for j, flow in enumerate(g.cap[row + 1:row + 2 * n:2]) if flow]
+    return Matching._trusted(edges), augmentations + warmed
 
 
 def solve_min_weight(inst: Instance) -> SolveReport:

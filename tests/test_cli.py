@@ -308,6 +308,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "clusters[1]" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("alg", ["wbm", "dwbm", "greedy"])
+    def test_overflowing_weights_exit_usage(self, alg, tmp_path, capsys):
+        # Selecting every edge costs 52e308, past the float maximum: the
+        # instance is refused, not solved into an internal error (5).
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "m": 2, "n": 2, "k": 1,
+            "weights": [[1e154, 2e154], [3e154, 4e154]], "clusters": [0, 0],
+            "bounds": {"L_lo": 1, "L_hi": 2, "R_lo": 1, "R_hi": 2}}))
+        code = main(["solve", "--alg", alg, str(path),
+                     str(tmp_path / "o.json")])
+        assert code == EXIT_USAGE
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InstanceError"
+        assert "overflows" in doc["message"]
+
     @pytest.mark.parametrize("budget", ["nan", "-5"])
     def test_bad_budget_exits_usage(self, budget, tmp_path, capsys):
         inst_path = write_instance(tmp_path)

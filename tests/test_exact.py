@@ -337,9 +337,17 @@ class TestAnytimeBudget:
 
     def test_rejects_negative_or_nan_budget(self):
         inst = random_instance(np.random.default_rng(423))
-        for bad in (-1.0, float("nan"), True):
+        for bad in (-1.0, float("nan"), True, np.True_, np.False_, "5", 1j):
             with pytest.raises(ConfigError):
                 solve_diverse_exact(inst, budget_ms=bad)
+
+    def test_accepts_numpy_real_budgets(self):
+        inst = random_instance(np.random.default_rng(423))
+        unbudgeted = solve_diverse_exact(inst)
+        for budget in (np.float64(60_000.0), np.int64(60_000)):
+            rep = solve_diverse_exact(inst, budget_ms=budget)
+            assert rep.status == unbudgeted.status
+            assert rep.matching == unbudgeted.matching
 
 
 # run_scaling's (m, n) shapes, each at k = 5, L_lo = 1 and R_lo = 3

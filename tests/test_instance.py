@@ -3,23 +3,28 @@
 import copy
 import itertools
 import json
+import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from divmatch import (
     INFEASIBLE,
+    OBJECTIVE_DIVERSITY,
     OBJECTIVE_WEIGHT,
     OPTIMAL,
     DegreeBounds,
+    GeneratorConfig,
     Instance,
     InstanceError,
     Matching,
     MatchingError,
     brute_force,
     check_matching,
+    gen_instance,
     is_feasible_bounds,
     load_instance,
     load_matching,
@@ -32,6 +37,7 @@ from divmatch import (
     transform_max_to_min,
 )
 from divmatch import instance
+from divmatch.minweight import _lower
 from conftest import random_instance
 
 
@@ -177,6 +183,61 @@ class TestInstanceValidation:
         a, b = tiny_instance(), tiny_instance()
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestConcentrationOverflow:
+    # Every solver costs its answer, so Instance refuses weights whose
+    # concentration cost of selecting every edge, the most any matching
+    # can cost, overflows.  Scaled by 1e154 these weights, in one
+    # cluster, cost 52e308 with every edge selected.
+    WEIGHTS = np.array([[1.0, 2.0], [3.0, 4.0]])
+    BOUNDS = DegreeBounds.broadcast(2, 2, 1, 2, 1, 2)
+
+    def test_constructor_refuses(self):
+        with pytest.raises(InstanceError, match="overflows"):
+            Instance(self.WEIGHTS * 1e154, [0, 0], 1, self.BOUNDS)
+
+    def test_load_instance_refuses(self):
+        doc = json.loads(save_instance(
+            Instance(self.WEIGHTS, [0, 0], 1, self.BOUNDS)))
+        doc["weights"] = (self.WEIGHTS * 1e154).tolist()
+        with pytest.raises(InstanceError, match="overflows"):
+            load_instance(json.dumps(doc))
+
+    def test_full_cost_matches_the_accumulated_table(self):
+        # _full_cost's bincount adds each table cell's weights in row
+        # order, as np.add.at does, so the sums are bit-identical
+        rng = np.random.default_rng(291)
+        for _ in range(60):
+            inst = random_instance(rng, max_m=9, max_n=9, max_cells=81)
+            full = np.zeros((inst.k, inst.n))
+            np.add.at(full, inst.clusters, inst.weights)
+            assert instance._full_cost(inst.weights, inst.clusters,
+                                       inst.k) == float((full * full).sum())
+
+    @pytest.mark.parametrize("base", [
+        Instance(WEIGHTS, [0, 0], 1, BOUNDS),
+        gen_instance(GeneratorConfig(m=8, n=6, k=3, l_lo=1, l_hi=6, r_lo=2,
+                                     r_hi=8, seed=(7, 8, 6, 3, 0))),
+    ], ids=["2x2", "bnb-proof-8x6"])
+    def test_every_solver_solves_just_under_the_cut(self, base):
+        # Scaled so that selecting every edge costs 0.9 times the float
+        # maximum; a warning raised here fails the test.
+        full = instance._full_cost(base.weights, base.clusters, base.k)
+        scale = math.sqrt(0.9 * sys.float_info.max / full)
+        with pytest.raises(InstanceError, match="overflows"):
+            Instance(base.weights * scale * 1.1, base.clusters, base.k,
+                     base.bounds)
+        inst = Instance(base.weights * scale, base.clusters, base.k,
+                        base.bounds)
+        reports = [solve(inst) for solve in (
+            solve_min_weight, solve_diverse_greedy, solve_diverse_exact)]
+        if inst.m * inst.n <= 16:
+            reports += [brute_force(inst, objective) for objective in (
+                OBJECTIVE_WEIGHT, OBJECTIVE_DIVERSITY)]
+        for rep in reports:
+            assert rep.matching is not None, rep.algorithm
+            assert math.isfinite(rep.diversity_cost), rep.algorithm
 
 
 class TestMatching:
@@ -334,7 +395,9 @@ class TestFeasibility:
             inst = random_instance(rng, max_m=20, max_n=20, max_cells=400,
                                    per_node=True)
             net = reduce_to_circulation(inst)
-            sent, _ = net.graph.min_cost_flow(net.source, net.sink)
+            # the super source and super sink follow the m + n nodes
+            sent, _ = _lower(net).min_cost_flow(2 + inst.m + inst.n,
+                                                3 + inst.m + inst.n)
             feasible, why = is_feasible_bounds(inst)
             assert feasible == (sent == net.need), why
             infeasible += not feasible

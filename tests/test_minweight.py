@@ -24,6 +24,7 @@ from divmatch import (
     solve_min_weight,
     total_weight,
 )
+from divmatch import minweight
 from divmatch.minweight import Graph, _lower
 from conftest import random_instance
 
@@ -172,11 +173,24 @@ class TestWarmStart:
         assert sides == {"left", "right", None}
 
 
-def decoded_edges(net):
-    """The edges whose arcs carry flow in net's graph."""
-    g = net.graph
-    return tuple((i, j) for i, row in enumerate(net.edge_arcs)
-                 for j, arc in enumerate(row) if g.cap[arc ^ 1])
+def super_nodes(inst):
+    """The super source and super sink of inst's lowered graph, in the
+    node layout that arc_by_arc_lower and reference_arcs write out."""
+    return 2 + inst.m + inst.n, 3 + inst.m + inst.n
+
+
+def decoded_edges(inst, g):
+    """The edges whose arcs carry flow in g, a lowered graph of inst;
+    edge (i, j)'s arc follows the m supply arcs, n to a row."""
+    m, n = inst.m, inst.n
+    return tuple((i, j) for i in range(m) for j in range(n)
+                 if g.cap[2 * m + 2 * (i * n + j) + 1])
+
+
+FIG2_10X10 = GeneratorConfig(m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5,
+                             seed=(7, 4, 0))
+LARGE_100X10 = GeneratorConfig(m=100, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
+                               r_hi=100, seed=(7, 100))
 
 
 class TestLazyLowering:
@@ -184,42 +198,83 @@ class TestLazyLowering:
     # picks and builds no graph; a graph built anyway carries the same
     # flow and routes nothing more.
 
+    @staticmethod
+    def count_lowerings(monkeypatch):
+        """The graphs solve_circulation builds from here on."""
+        calls = []
+
+        def counting(net):
+            calls.append(_lower(net))
+            return calls[-1]
+
+        monkeypatch.setattr(minweight, "_lower", counting)
+        return calls
+
     @pytest.mark.parametrize("cfg, side", [
-        (GeneratorConfig(m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5,
-                         seed=(7, 4, 0)), "right"),
-        (GeneratorConfig(m=100, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
-                         r_hi=100, seed=(7, 100)), "left"),
+        (FIG2_10X10, "right"),
+        (LARGE_100X10, "left"),
         (GeneratorConfig(m=200, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
                          r_hi=200, seed=(7, 200)), "left"),
     ], ids=["fig2-10x10", "100x10", "200x10"])
-    def test_need_zero_solve_builds_no_graph(self, cfg, side):
+    def test_need_zero_solve_builds_no_graph(self, cfg, side, monkeypatch):
         inst = gen_instance(cfg)
         net = reduce_to_circulation(inst)
         assert (net.need, net.warm_side) == (0, side)
+        calls = self.count_lowerings(monkeypatch)
         match, augmentations = solve_circulation(net)
         assert augmentations == 1
-        assert "graph" not in vars(net)
-
-        forced = reduce_to_circulation(inst)
-        sent, routed = forced.graph.min_cost_flow(forced.source, forced.sink)
-        assert (sent, routed) == (0, 0)
-        assert decoded_edges(forced) == match.edges
-
         rep = solve_min_weight(inst)
+        assert calls == []
         assert rep.telemetry == {"augmentations": 1, "warm_side": side}
         assert rep.matching == match
 
-    def test_solve_with_units_left_builds_the_graph_once(self):
+        forced = _lower(net)
+        assert forced.min_cost_flow(*super_nodes(inst)) == (0, 0)
+        assert decoded_edges(inst, forced) == match.edges
+
+    def test_solve_with_units_left_builds_the_graph_once(self, monkeypatch):
         # Neither warm start fits this perfect matching (see
         # test_neither_side_fits_starts_cold), so the shortest paths run.
         inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
                         2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
         net = reduce_to_circulation(inst)
-        assert net.need == 4 and "graph" not in vars(net)
+        assert net.need == 4
+        calls = self.count_lowerings(monkeypatch)
         match, _ = solve_circulation(net)
-        assert net.graph is vars(net)["graph"]
-        assert decoded_edges(net) == match.edges
+        assert len(calls) == 1
+        assert decoded_edges(inst, calls[0]) == match.edges
         assert solve_min_weight(inst).matching == match
+
+
+class TestStartRecord:
+    # The three kinds of start a FlowNetwork records.
+
+    def test_right_start_meets_every_bound(self):
+        inst = gen_instance(FIG2_10X10)
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side) == (0, "right")
+        # each right node takes its five lightest left nodes
+        lightest = np.argsort(inst.weights, axis=0, kind="stable")[:5]
+        assert sorted(net.picks) == sorted(
+            (int(i), j) for j in range(inst.n) for i in lightest[:, j])
+        np.testing.assert_array_equal(
+            net.theta, np.sort(inst.weights, axis=0)[4])
+
+    def test_left_start_meets_every_bound(self):
+        inst = gen_instance(LARGE_100X10)
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side) == (0, "left")
+        lightest = inst.weights.argmin(axis=1)
+        assert net.picks == list(enumerate(lightest.tolist()))
+        np.testing.assert_array_equal(net.theta, inst.weights.min(axis=1))
+
+    def test_cold_start_records_no_picks(self):
+        # test_neither_side_fits_starts_cold's perfect matching
+        inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
+                        2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side, net.picks, net.theta) == (
+            4, None, [], None)
 
 
 class TestArcStructure:
@@ -233,7 +288,7 @@ class TestArcStructure:
         """(tail, head, forward cost, capacity) of every forward arc."""
         m, n, b = inst.m, inst.n, inst.bounds
         s, t, left0, right0 = 0, 1, 2, 2 + m
-        ss, tt = 2 + m + n, 3 + m + n
+        ss, tt = super_nodes(inst)
         arcs = [(s, left0 + i, 0.0, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
         arcs += [(left0 + i, right0 + j, float(inst.weights[i, j]), 1)
                  for i in range(m) for j in range(n)]
@@ -267,33 +322,28 @@ class TestArcStructure:
                                 DegreeBounds.broadcast(inst.m, inst.n, 0,
                                                        b.l_hi, 0, b.r_hi))
             zero_lo += not any(inst.bounds.l_lo) and not any(inst.bounds.r_lo)
-            net = reduce_to_circulation(inst)
-            g = net.graph
+            g = _lower(reduce_to_circulation(inst))
             expected = self.reference_arcs(inst)
             assert self.built_arcs(g) == expected
             assert all(g.cost[a + 1] == -g.cost[a]
                        for a in range(0, len(g.to), 2))
             assert all(arcs == sorted(arcs) for arcs in g.adj)
-            first = 2 * inst.m
-            assert [list(row) for row in net.edge_arcs] == [
-                list(range(first + 2 * inst.n * i,
-                           first + 2 * inst.n * (i + 1), 2))
-                for i in range(inst.m)]
             if is_feasible_bounds(inst)[0]:
-                solve_circulation(net)
+                g.min_cost_flow(*super_nodes(inst))
                 assert self.built_arcs(g) == expected
         assert zero_lo >= 15
 
 
-def arc_by_arc_lower(inst, warm):
+def arc_by_arc_lower(net):
     """The lowered graph built one Graph.add call per arc, in the
-    documented order, with warm's flow and potentials; the reference for
-    _lower's bulk layout."""
+    documented order, with net's warm start flow and potentials; the
+    reference for _lower's bulk layout."""
+    inst = net.inst
     m, n = inst.m, inst.n
     b = inst.bounds
     s, t = 0, 1
     left0, right0 = 2, 2 + m
-    ss, tt = 2 + m + n, 3 + m + n
+    ss, tt = super_nodes(inst)
     g = Graph(4 + m + n)
     supply = [g.add(s, left0 + i, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
     first = len(g.to)
@@ -309,10 +359,10 @@ def arc_by_arc_lower(inst, warm):
                for i, lo in enumerate(b.l_lo)]
     right_tt = [g.add(right0 + j, tt, lo) if lo > 0 else -1
                 for j, lo in enumerate(b.r_lo)]
-    if warm is None:
+    if net.warm_side is None:
         return g
     deg_l, deg_r = [0] * m, [0] * n
-    for i, j in warm.edges:
+    for i, j in net.picks:
         g.push(first + 2 * (i * n + j), 1)
         deg_l[i] += 1
         deg_r[j] += 1
@@ -328,9 +378,9 @@ def arc_by_arc_lower(inst, warm):
                 g.push(free[node], d - lo)
         if met:
             g.push(detour, met)
-    g.push(bypass, len(warm.edges))
-    node0, sign = (right0, 1.0) if warm.side == "right" else (left0, -1.0)
-    g.pot[node0:node0 + warm.theta.size] = (sign * warm.theta).tolist()
+    g.push(bypass, len(net.picks))
+    node0, sign = (right0, 1.0) if net.warm_side == "right" else (left0, -1.0)
+    g.pot[node0:node0 + net.theta.size] = (sign * net.theta).tolist()
     return g
 
 
@@ -341,8 +391,8 @@ class TestBulkLowering:
 
     @staticmethod
     def assert_same_graph(inst):
-        warm = reduce_to_circulation(inst).warm
-        g, ref = _lower(inst, warm), arc_by_arc_lower(inst, warm)
+        net = reduce_to_circulation(inst)
+        g, ref = _lower(net), arc_by_arc_lower(net)
         assert g.adj == ref.adj
         assert g.to == ref.to
         assert g.cap == ref.cap
@@ -350,7 +400,7 @@ class TestBulkLowering:
         # == alone would let a 0.0 stand for a -0.0
         signed = [(c, math.copysign(1.0, c)) for c in g.cost]
         assert signed == [(c, math.copysign(1.0, c)) for c in ref.cost]
-        return None if warm is None else warm.side
+        return net.warm_side
 
     def test_random_instances(self):
         rng = np.random.default_rng(271)
@@ -437,8 +487,9 @@ class TestOneExcessStart:
         kind is "cold" or "right" when the super source starts with two
         or more open arcs after that kind of start, else None."""
         net = reduce_to_circulation(inst)
-        g = net.graph
-        opened = sum(g.cap[a] > 0 for a in g.adj[net.source])
+        g = _lower(net)
+        ss, tt = super_nodes(inst)
+        opened = sum(g.cap[a] > 0 for a in g.adj[ss])
         b = inst.bounds
         kind = None
         if opened >= 2:
@@ -446,9 +497,9 @@ class TestOneExcessStart:
                 kind = "cold"
             elif net.warm_side == "right":
                 kind = "right"
-        sent, _ = g.min_cost_flow(net.source, net.sink)
+        sent, _ = g.min_cost_flow(ss, tt)
         assert sent == net.need
-        match = Matching(decoded_edges(net))
+        match = Matching(decoded_edges(inst, g))
         ok, violations = check_matching(inst, match)
         assert ok, violations
         return total_weight(inst, match), kind

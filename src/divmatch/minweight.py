@@ -45,28 +45,37 @@ itself would pop all of them on every path.
 
 Arc order is fixed: supplies by left node, edges in (left, right)
 lexicographic order, demands by right node, the bypass, then the
-requirement arcs by node id.  Successive shortest paths break ties on
-this order (heap ties on node id, strict relaxation), so which optimum
-is returned among several of the same weight is fixed by the arc order,
+requirement arcs by node id.  Each Dijkstra settles the open node of
+smallest (label, node id) and relaxes strictly, so which optimum is
+returned among several of the same weight is fixed by the arc order,
 the warm start and the start arc of each path.  On right_only instances
 the warm start routes everything: each right node takes its lightest
-left nodes, lowest index first.  The supply arcs and the edge block are
-laid out in bulk, entry for entry what one Graph.add per arc would give.
+left nodes, lowest index first.
+
+The residual state (_FlowState) keeps no arc list for the m*n edges: a
+forward edge (i, j) is open while the flow matrix holds 0 there and
+costs the weight itself, and right node j's reverse arcs run over its
+matched left nodes in index order.  Only the O(m + n) supply, demand,
+bypass, detour and requirement arcs are explicit.  A node relaxes its
+arc into the super sink first; once that arc sets the sink's label to
+the node's own label the search stops, since no node left open could
+beat it and the potential update gives every unsettled node the sink's
+distance whatever its label.
 
 Nodes are numbered 0 = source, 1 = sink, then the m left nodes, the n
 right nodes, the super source 2 + m + n and the super sink 3 + m + n.
 reduce_to_circulation chooses the warm start before any arc is built,
 and its FlowNetwork records only that choice.  When the warm start
 leaves nothing to route (need 0) its flow is optimal as it stands, so
-solve_circulation returns its picks and builds no graph; otherwise it
-builds the residual graph, routes the rest and decodes the matching.
+solve_circulation returns its picks and builds no state; otherwise it
+builds the residual state, routes the rest and decodes the matching.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,124 +87,6 @@ from .errors import InternalError
 from .instance import Instance, Matching, check_matching, is_feasible_bounds
 from .objective import diversity_cost, total_weight
 from .report import INFEASIBLE, OPTIMAL, SolveReport, _finish
-
-
-class Graph:
-    """Residual graph: arc a and its reverse a ^ 1 share the arrays.
-
-    pot holds the node potentials that successive shortest paths keep;
-    a warm start may set them together with a starting flow.  The flow
-    on arc a is cap[a ^ 1].
-    """
-
-    def __init__(self, num_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-        self.pot: list[float] = [0.0] * num_nodes
-
-    def add(self, u: int, v: int, cap: int, cost: float = 0.0) -> int:
-        """Add arc u->v; returns its id (the reverse arc is id + 1)."""
-        arc = len(self.to)
-        self.adj[u].append(arc)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(arc + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return arc
-
-    def push(self, arc: int, units: int) -> None:
-        """Route units more over an arc returned by add."""
-        self.cap[arc] -= units
-        self.cap[arc ^ 1] += units
-
-    def min_cost_flow(self, s: int, t: int) -> tuple[int, int]:
-        """Route flow s->t at minimum cost by successive shortest paths.
-
-        Routes one excess at a time: each Dijkstra starts at the head of
-        s's first arc that still has capacity, in adj order, at distance
-        0 with that arc as its parent, and never relaxes an arc into or
-        out of s.  This is exact because every arc out of s ends
-        saturated, so no residual cycle passes through s, and because
-        while the flow can still be completed there is a residual path
-        from that head to t that avoids s (decompose the difference
-        between an optimal flow and the current one).  Arcs into and out
-        of s may therefore carry negative reduced costs, and so may arcs
-        out of t: Dijkstra stops once no key left can beat t's distance
-        (a warm start leaves such arcs so).  Every arc it relaxes must
-        have a nonnegative reduced cost under pot.  Stops once the arcs
-        out of s are saturated or t is out of reach of the next head.
-        Returns (flow, augmentations).  A reduced cost below -1e-9 times
-        the summed arc costs means the potentials broke, which raises
-        InternalError; the tolerance scales with the weights so rounding
-        at any weight scale passes.
-        """
-        num = len(self.adj)
-        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
-        pot = self.pot
-        tol = 1e-9 * sum(cost[0::2])
-        out_s = adj[s]
-        limit = sum(cap[a] for a in out_s)
-        flow = 0
-        augmentations = 0
-        nxt = 0  # arcs out of s only fill up, so the first open one moves on
-        while flow < limit:
-            while cap[out_s[nxt]] <= 0:
-                nxt += 1
-            first = out_s[nxt]
-            head = to[first]
-            dist = [math.inf] * num
-            parent_arc = [-1] * num
-            dist[head] = 0.0
-            parent_arc[head] = first
-            heap = [(0.0, head)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                if d >= dist[t]:  # nothing left to pop can beat t
-                    break
-                pu = pot[u]
-                for a in adj[u]:
-                    if cap[a] <= 0:
-                        continue
-                    v = to[a]
-                    if v == s:
-                        continue
-                    reduced = cost[a] + pu - pot[v]
-                    if reduced < 0.0:
-                        if reduced < -tol:
-                            raise InternalError(
-                                f"negative reduced cost {reduced} in Dijkstra")
-                        reduced = 0.0
-                    nd = d + reduced
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent_arc[v] = a
-                        heapq.heappush(heap, (nd, v))
-            dt = dist[t]
-            if math.isinf(dt):
-                break
-            pot[:] = [p + (d if d <= dt else dt) for p, d in zip(pot, dist)]
-            bottleneck = math.inf
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                bottleneck = min(bottleneck, cap[a])
-                v = to[a ^ 1]
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-                v = to[a ^ 1]
-            flow += bottleneck
-            augmentations += 1
-        return flow, augmentations
 
 
 def _lightest(w: np.ndarray, lo: np.ndarray):
@@ -215,7 +106,7 @@ def _lightest(w: np.ndarray, lo: np.ndarray):
     return rows, cols, np.bincount(rows, minlength=m), theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
     """The warm start of one instance's lowered circulation.
 
@@ -225,6 +116,7 @@ class FlowNetwork:
     heaviest weight it took (None for a cold start).  need is the number
     of units still to route from the super source to the super sink
     after the warm start; all lower bounds are met when they arrive.
+    Equality is identity: two starts are the same only if they are one.
     """
 
     inst: Instance = field(repr=False)
@@ -258,78 +150,215 @@ def reduce_to_circulation(inst: Instance) -> FlowNetwork:
     return net
 
 
-def _lower(net: FlowNetwork) -> Graph:
-    """The residual graph of net's instance in the documented arc order,
-    carrying the warm start's flow and potentials."""
-    inst = net.inst
-    m, n = inst.m, inst.n
-    b = inst.bounds
-    s, t = 0, 1
-    left0, right0 = 2, 2 + m
-    ss, tt = 2 + m + n, 3 + m + n
-    g = Graph(4 + m + n)
-    # The supply arcs and the edge block in bulk, entry for entry what
-    # Graph.add would lay out: reverse arcs have capacity 0 and the
-    # negated cost (-0.0 on the supply arcs).
-    first, end = 2 * m, 2 * m + 2 * m * n
-    supply = range(0, first, 2)
-    g.to = [s] * end
-    g.to[0:first:2] = range(left0, left0 + m)
-    g.to[first:end:2] = list(range(right0, right0 + n)) * m
-    g.to[first + 1:end:2] = [u for u in range(left0, left0 + m)
-                             for _ in range(n)]
-    g.cap = [0] * end
-    g.cap[0:first:2] = [hi - lo for lo, hi in zip(b.l_lo, b.l_hi)]
-    g.cap[first:end:2] = [1] * (m * n)
-    g.cost = [-0.0] * end
-    g.cost[0:first:2] = [0.0] * m
-    g.cost[first:end:2] = inst.weights.ravel().tolist()
-    g.cost[first + 1:end:2] = (-inst.weights).ravel().tolist()
-    g.adj[s] = list(supply)
-    for i in range(m):
-        g.adj[left0 + i] = [2 * i + 1, *range(first + 2 * n * i,
-                                              first + 2 * n * (i + 1), 2)]
-    for j in range(n):
-        g.adj[right0 + j] = list(range(first + 2 * j + 1, end, 2 * n))
-    demand = [g.add(right0 + j, t, b.r_hi[j] - b.r_lo[j]) for j in range(n)]
-    bypass = g.add(t, s, min(sum(b.l_hi), sum(b.r_hi)))
+def _clamped(reduced: float, tol: float) -> float:
+    """0.0 for a reduced cost rounding left below 0; InternalError when
+    it is below -tol, which means the potentials broke."""
+    if reduced < -tol:
+        raise InternalError(f"negative reduced cost {reduced} in Dijkstra")
+    return 0.0
 
-    total_l, total_r = sum(b.l_lo), sum(b.r_lo)
-    s_tt = g.add(s, tt, total_l) if total_l > 0 else -1
-    ss_t = g.add(ss, t, total_r) if total_r > 0 else -1
-    ss_left = [g.add(ss, left0 + i, lo) if lo > 0 else -1
-               for i, lo in enumerate(b.l_lo)]
-    right_tt = [g.add(right0 + j, tt, lo) if lo > 0 else -1
-                for j, lo in enumerate(b.r_lo)]
-    if net.warm_side is None:
-        return g
 
-    # The warm start.  Each node carries its picks on its requirement arc
-    # up to its lower bound and the rest on its free (supply or demand)
-    # arc; each detour arc carries what its side's requirement arcs carry,
-    # and the bypass every pick.
-    deg_l, deg_r = [0] * m, [0] * n
-    for i, j in net.picks:
-        g.push(first + 2 * (i * n + j), 1)
-        deg_l[i] += 1
-        deg_r[j] += 1
-    for deg, lows, req, free, detour in (
-            (deg_l, b.l_lo, ss_left, supply, s_tt),
-            (deg_r, b.r_lo, right_tt, demand, ss_t)):
-        met = 0
-        for node, (d, lo) in enumerate(zip(deg, lows)):
-            if lo > 0:
-                g.push(req[node], min(d, lo))
-                met += min(d, lo)
-            if d > lo:
-                g.push(free[node], d - lo)
-        if met:
-            g.push(detour, met)
-    g.push(bypass, len(net.picks))
-    node0, sign = ((right0, 1.0) if net.warm_side == "right"
-                   else (left0, -1.0))
-    g.pot[node0:node0 + net.theta.size] = (sign * net.theta).tolist()
-    return g
+class _FlowState:
+    """The residual state of net's lowered circulation, warm start applied.
+
+    flow[i][j] is edge (i, j)'s flow and w[i][j] its cost; matched[j]
+    lists right node j's matched left nodes in index order.  The other
+    arcs are explicit, in the documented order: arc a runs to to[a] with
+    residual capacity cap[a], and its reverse is a ^ 1.  adj[u] holds
+    the explicit arcs node u relaxes, its arc into the super sink first
+    and none into the super source; starts holds the super source's
+    arcs.  pot holds the node potentials.
+    """
+
+    def __init__(self, net: FlowNetwork):
+        inst = net.inst
+        m, n = inst.m, inst.n
+        b = inst.bounds
+        s, t, left0, right0 = 0, 1, 2, 2 + m
+        ss, tt = 2 + m + n, 3 + m + n
+        self.m = m
+        self.w = inst.weights.tolist()
+        self.flow = flow = [[0] * n for _ in range(m)]
+        self.matched = matched = [[] for _ in range(n)]
+        self.to = to = []
+        self.cap = cap = []
+        self.adj = adj = [[] for _ in range(4 + m + n)]
+        self.pot = [0.0] * (4 + m + n)
+
+        def add(u, v, c):
+            a = len(to)
+            to.extend((v, u))
+            cap.extend((c, 0))
+            if v == tt:
+                adj[u].insert(0, a)
+            else:
+                adj[u].append(a)
+            if u != ss:
+                adj[v].append(a + 1)
+            return a
+
+        def push(a, units):
+            cap[a] -= units
+            cap[a ^ 1] += units
+
+        supply = [add(s, left0 + i, hi - lo)
+                  for i, (lo, hi) in enumerate(zip(b.l_lo, b.l_hi))]
+        demand = [add(right0 + j, t, hi - lo)
+                  for j, (lo, hi) in enumerate(zip(b.r_lo, b.r_hi))]
+        bypass = add(t, s, min(sum(b.l_hi), sum(b.r_hi)))
+        total_l, total_r = sum(b.l_lo), sum(b.r_lo)
+        s_tt = add(s, tt, total_l) if total_l > 0 else -1
+        ss_t = add(ss, t, total_r) if total_r > 0 else -1
+        ss_left = [add(ss, left0 + i, lo) if lo > 0 else -1
+                   for i, lo in enumerate(b.l_lo)]
+        right_tt = [add(right0 + j, tt, lo) if lo > 0 else -1
+                    for j, lo in enumerate(b.r_lo)]
+        self.starts = adj[ss]
+        if net.warm_side is None:
+            return
+
+        # The warm start.  Each node carries its picks on its requirement
+        # arc up to its lower bound and the rest on its free (supply or
+        # demand) arc; each detour arc carries what its side's requirement
+        # arcs carry, and the bypass every pick.
+        deg_l, deg_r = [0] * m, [0] * n
+        for i, j in sorted(net.picks):
+            flow[i][j] = 1
+            matched[j].append(i)
+            deg_l[i] += 1
+            deg_r[j] += 1
+        for deg, lows, req, free, detour in (
+                (deg_l, b.l_lo, ss_left, supply, s_tt),
+                (deg_r, b.r_lo, right_tt, demand, ss_t)):
+            met = 0
+            for node, (d, lo) in enumerate(zip(deg, lows)):
+                if lo > 0:
+                    push(req[node], min(d, lo))
+                    met += min(d, lo)
+                if d > lo:
+                    push(free[node], d - lo)
+            if met:
+                push(detour, met)
+        push(bypass, len(net.picks))
+        node0, sign = ((right0, 1.0) if net.warm_side == "right"
+                       else (left0, -1.0))
+        self.pot[node0:node0 + net.theta.size] = (sign * net.theta).tolist()
+
+    def route(self) -> tuple[int, int]:
+        """Route from the super source to the super sink by successive
+        shortest paths, one excess at a time.
+
+        Each Dijkstra starts at the head of the first start arc that
+        still has capacity, at distance 0 with that arc as its parent;
+        it settles the open node of smallest (label, node id) and stops
+        once that label cannot beat the super sink's.  Every arc it
+        relaxes must have a nonnegative reduced cost under pot; one below
+        -1e-9 times the summed weights raises InternalError, so rounding
+        at any weight scale passes.  Stops once the start arcs are
+        saturated or the super sink is out of reach of the next head.
+        Returns (units sent, augmentations).
+        """
+        m = self.m
+        w, flow, matched = self.w, self.flow, self.matched
+        to, cap, adj, pot = self.to, self.cap, self.adj, self.pot
+        num = len(pot)
+        left0, right0, ss, tt = 2, 2 + m, num - 2, num - 1
+        tol = 1e-9 * sum(map(sum, w))
+        inf = math.inf
+        sent = augmentations = 0
+        for first in self.starts:  # they only fill up, so move on once full
+            while cap[first] > 0:
+                head = to[first]
+                dist = [inf] * num
+                label = [inf] * num  # dist while open, inf once settled
+                parent = [-1] * num  # an explicit arc, or ~tail for an edge
+                dist[head] = label[head] = 0.0
+                parent[head] = first
+                pot_right = pot[right0:ss]
+                while True:
+                    d = min(label)
+                    if d >= dist[tt]:
+                        break
+                    u = label.index(d)
+                    label[u] = inf
+                    pu = pot[u]
+                    for a in adj[u]:
+                        if cap[a] > 0:
+                            v = to[a]
+                            reduced = pu - pot[v]
+                            if reduced < 0.0:
+                                reduced = _clamped(reduced, tol)
+                            nd = d + reduced
+                            if nd < dist[v]:
+                                dist[v] = label[v] = nd
+                                parent[v] = a
+                                if v == tt and nd == d:
+                                    break
+                    if dist[tt] == d:  # nothing u relaxes next can matter
+                        break
+                    if left0 <= u < right0:
+                        i = u - left0
+                        for v, x, wij, pv in zip(range(right0, ss), flow[i],
+                                                 w[i], pot_right):
+                            if x:
+                                continue
+                            reduced = wij + pu - pv
+                            if reduced < 0.0:
+                                reduced = _clamped(reduced, tol)
+                            nd = d + reduced
+                            if nd < dist[v]:
+                                dist[v] = label[v] = nd
+                                parent[v] = ~u
+                    elif right0 <= u < ss:
+                        j = u - right0
+                        for i in matched[j]:
+                            v = left0 + i
+                            reduced = -w[i][j] + pu - pot[v]
+                            if reduced < 0.0:
+                                reduced = _clamped(reduced, tol)
+                            nd = d + reduced
+                            if nd < dist[v]:
+                                dist[v] = label[v] = nd
+                                parent[v] = ~u
+                dt = dist[tt]
+                if dt == inf:
+                    return sent, augmentations
+                pot[:] = [p + (d if d <= dt else dt)
+                          for p, d in zip(pot, dist)]
+                bottleneck = inf
+                v = tt
+                while v != ss:
+                    a = parent[v]
+                    if a >= 0:
+                        bottleneck = min(bottleneck, cap[a])
+                        v = to[a ^ 1]
+                    else:  # an edge, of capacity 1
+                        bottleneck = 1
+                        v = ~a
+                v = tt
+                while v != ss:
+                    a = parent[v]
+                    if a >= 0:
+                        cap[a] -= bottleneck
+                        cap[a ^ 1] += bottleneck
+                        v = to[a ^ 1]
+                        continue
+                    u = ~a
+                    if u < right0:  # forward edge, left u to right v
+                        flow[u - left0][v - right0] = 1
+                        insort(matched[v - right0], u - left0)
+                    else:  # reverse edge, right u to left v
+                        flow[v - left0][u - right0] = 0
+                        matched[u - right0].remove(v - left0)
+                    v = u
+                sent += bottleneck
+                augmentations += 1
+        return sent, augmentations
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges that carry flow, in (left, right) order."""
+        return sorted((i, j) for j, lefts in enumerate(self.matched)
+                      for i in lefts)
 
 
 def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
@@ -338,25 +367,19 @@ def solve_circulation(net: FlowNetwork) -> tuple[Matching, int]:
     Returns (matching of the edge arcs that carry flow, augmentation
     count).  The count is the shortest-path augmentations plus 1 when
     the warm start routed flow.  With need 0 the warm start's flow is
-    already optimal, so its picks are the answer and no graph is built.
+    already optimal, so its picks are the answer and no state is built.
     Raises InternalError if the lower bounds cannot be met; callers are
     expected to have run is_feasible_bounds first.
     """
     warmed = int(net.warm_side is not None)
     if net.need == 0:
         return Matching._trusted(net.picks), warmed
-    m, n = net.inst.m, net.inst.n
-    g = _lower(net)
-    sent, augmentations = g.min_cost_flow(2 + m + n, 3 + m + n)
+    state = _FlowState(net)
+    sent, augmentations = state.route()
     if sent != net.need:
         raise InternalError(
             "circulation lower bounds unmet despite feasibility pre-check")
-    # row i's edge arcs follow the m supply arcs, n to a row; their
-    # reverse arcs hold the edges' flows
-    edges = [(i, j) for i, row in enumerate(range(2 * m, 2 * m + 2 * m * n,
-                                                  2 * n))
-             for j, flow in enumerate(g.cap[row + 1:row + 2 * n:2]) if flow]
-    return Matching._trusted(edges), augmentations + warmed
+    return Matching._trusted(state.edges()), augmentations + warmed
 
 
 def solve_min_weight(inst: Instance) -> SolveReport:

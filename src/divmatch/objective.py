@@ -58,10 +58,13 @@ def diversity_cost(inst: Instance, match: Matching) -> float:
     """Cluster concentration cost of a matching, computed from scratch.
 
     Sums each (right node, cluster) group of selected weights with
-    fsum, squares, and fsums the squares.  This is the reference
-    evaluation; solvers keep the same number incrementally.
+    fsum, squares each sum as s * s (correctly rounded, where s ** 2
+    goes through the platform's pow), and fsums the squares.  This is
+    the reference evaluation; solvers keep the same number
+    incrementally.
     """
-    return math.fsum(math.fsum(g) ** 2 for g in _groups(inst, match).values())
+    sums = (math.fsum(g) for g in _groups(inst, match).values())
+    return math.fsum(s * s for s in sums)
 
 
 class ClusterSums:

@@ -1,5 +1,10 @@
 """Shared helpers for the test suite."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from divmatch import DegreeBounds, Instance
@@ -73,3 +78,15 @@ def dead_end_instance():
     weights = [[0.4, 0.5], [0.4, 0.7], [0.8, 0.7]]
     bounds = DegreeBounds.broadcast(3, 2, [1, 2, 2], [1, 2, 2], 0, [2, 3])
     return Instance(weights, [0, 1, 2], 3, bounds)
+
+
+@functools.cache
+def benchmark_workloads():
+    """The benchmark's instance sets by name (perfbench/workloads.py's
+    WORKLOADS); w.generate(seed) gives (label, instance) pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS

@@ -27,7 +27,8 @@ from divmatch import (
 from divmatch import greedy
 from divmatch._residual import Residual
 from divmatch.errors import InternalError
-from conftest import counting_feasible, dead_end_instance, random_instance
+from conftest import (benchmark_workloads, counting_feasible,
+                      dead_end_instance, random_instance)
 
 
 def spread_instance():
@@ -199,6 +200,38 @@ class TestFastPath:
             assert rep.telemetry["fast_path"] is True
             assert rep.matching.edges == fast.edges
             assert rep.telemetry["gain_evaluations"] == fast_evals
+
+    # On right_only instances greedy is optimal.  Each right node's cost
+    # is separable and convex in its per-cluster take counts: the square
+    # of the sum of a cluster's t lightest members grows by more with each
+    # take, and within a cluster the lightest open member has the smallest
+    # gain, so the cheapest marginal pick is exact.
+
+    @staticmethod
+    def assert_meets_exact(inst):
+        assert inst.right_only
+        cost = solve_diverse_greedy(inst).diversity_cost
+        optimum = solve_diverse_exact(inst).diversity_cost
+        assert cost == pytest.approx(optimum, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_optimal_on_the_cluster_sweep(self, seed):
+        sweep = benchmark_workloads()["fig2-sweep"].generate(seed)
+        assert len(sweep) == 180
+        for _, inst in sweep:
+            self.assert_meets_exact(inst)
+
+    def test_optimal_with_tied_weights(self):
+        rng = np.random.default_rng(334)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 11)), int(rng.integers(1, 11))
+            k = int(rng.integers(1, m + 1))
+            clusters = rng.permutation(
+                np.concatenate((np.arange(k), rng.integers(0, k, m - k))))
+            weights = np.floor(4 * rng.random((m, n))) / 2
+            bounds = DegreeBounds.broadcast(m, n, 0, n,
+                                            rng.integers(0, m + 1, n), m)
+            self.assert_meets_exact(Instance(weights, clusters, k, bounds))
 
     def test_falls_back_when_left_side_constrained(self):
         # Two-sided instances dispatch to the round-based path.

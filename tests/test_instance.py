@@ -37,7 +37,7 @@ from divmatch import (
     transform_max_to_min,
 )
 from divmatch import instance
-from divmatch.minweight import _lower
+from divmatch.minweight import _FlowState
 from conftest import random_instance
 
 
@@ -388,16 +388,14 @@ class TestFeasibility:
     def test_counting_agrees_with_min_cost_flow(self):
         # Two independent methods beyond the oracle's sizes: the count
         # inequalities, and whether a maximum flow on the lowered
-        # circulation meets every lower bound.
+        # circulation's residual state meets every lower bound.
         rng = np.random.default_rng(23)
         infeasible = 0
         for _ in range(500):
             inst = random_instance(rng, max_m=20, max_n=20, max_cells=400,
                                    per_node=True)
             net = reduce_to_circulation(inst)
-            # the super source and super sink follow the m + n nodes
-            sent, _ = _lower(net).min_cost_flow(2 + inst.m + inst.n,
-                                                3 + inst.m + inst.n)
+            sent, _ = _FlowState(net).route()
             feasible, why = is_feasible_bounds(inst)
             assert feasible == (sent == net.need), why
             infeasible += not feasible

@@ -1,6 +1,7 @@
 """Tests for the exact minimum-weight solver (cost-scaling free, flow based)."""
 
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -25,8 +26,9 @@ from divmatch import (
     total_weight,
 )
 from divmatch import minweight
-from divmatch.minweight import Graph, _lower
-from conftest import random_instance
+from divmatch.errors import InternalError
+from divmatch.minweight import _FlowState
+from conftest import benchmark_workloads, random_instance
 
 
 class TestKnownAnswers:
@@ -173,6 +175,99 @@ class TestWarmStart:
         assert sides == {"left", "right", None}
 
 
+class Graph:
+    """Residual graph with an explicit arc for every edge: arc a and its
+    reverse a ^ 1 share the arrays, and the flow on arc a is cap[a ^ 1].
+
+    With arc_by_arc_lower and reference_solve it is the arc-list solve
+    that minweight's residual state is checked against, arc for arc.
+    """
+
+    def __init__(self, num_nodes):
+        self.adj = [[] for _ in range(num_nodes)]
+        self.to = []
+        self.cap = []
+        self.cost = []
+        self.pot = [0.0] * num_nodes
+
+    def add(self, u, v, cap, cost=0.0):
+        """Add arc u->v; returns its id (the reverse arc is id + 1)."""
+        arc = len(self.to)
+        self.adj[u].append(arc)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.adj[v].append(arc + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+        return arc
+
+    def push(self, arc, units):
+        self.cap[arc] -= units
+        self.cap[arc ^ 1] += units
+
+    def min_cost_flow(self, s, t):
+        """(flow, augmentations) of successive shortest paths from s to t,
+        one excess at a time, each Dijkstra on a heap: it starts at the
+        head of s's first open arc, never relaxes an arc into or out of
+        s, and stops once nothing left to pop can beat t."""
+        num = len(self.adj)
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        pot = self.pot
+        tol = 1e-9 * sum(cost[0::2])
+        out_s = adj[s]
+        limit = sum(cap[a] for a in out_s)
+        flow = augmentations = nxt = 0
+        while flow < limit:
+            while cap[out_s[nxt]] <= 0:
+                nxt += 1
+            first = out_s[nxt]
+            head = to[first]
+            dist = [math.inf] * num
+            parent_arc = [-1] * num
+            dist[head] = 0.0
+            parent_arc[head] = first
+            heap = [(0.0, head)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                if d >= dist[t]:
+                    break
+                pu = pot[u]
+                for a in adj[u]:
+                    if cap[a] <= 0 or to[a] == s:
+                        continue
+                    v = to[a]
+                    reduced = cost[a] + pu - pot[v]
+                    if reduced < 0.0:
+                        if reduced < -tol:
+                            raise InternalError(
+                                f"negative reduced cost {reduced}")
+                        reduced = 0.0
+                    nd = d + reduced
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent_arc[v] = a
+                        heapq.heappush(heap, (nd, v))
+            dt = dist[t]
+            if math.isinf(dt):
+                break
+            pot[:] = [p + (d if d <= dt else dt) for p, d in zip(pot, dist)]
+            path = []
+            v = t
+            while v != s:
+                path.append(parent_arc[v])
+                v = to[parent_arc[v] ^ 1]
+            bottleneck = min(cap[a] for a in path)
+            for a in path:
+                self.push(a, bottleneck)
+            flow += bottleneck
+            augmentations += 1
+        return flow, augmentations
+
+
 def super_nodes(inst):
     """The super source and super sink of inst's lowered graph, in the
     node layout that arc_by_arc_lower and reference_arcs write out."""
@@ -187,157 +282,9 @@ def decoded_edges(inst, g):
                  if g.cap[2 * m + 2 * (i * n + j) + 1])
 
 
-FIG2_10X10 = GeneratorConfig(m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5,
-                             seed=(7, 4, 0))
-LARGE_100X10 = GeneratorConfig(m=100, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
-                               r_hi=100, seed=(7, 100))
-
-
-class TestLazyLowering:
-    # When the warm start meets every bound (need 0) the solve reads its
-    # picks and builds no graph; a graph built anyway carries the same
-    # flow and routes nothing more.
-
-    @staticmethod
-    def count_lowerings(monkeypatch):
-        """The graphs solve_circulation builds from here on."""
-        calls = []
-
-        def counting(net):
-            calls.append(_lower(net))
-            return calls[-1]
-
-        monkeypatch.setattr(minweight, "_lower", counting)
-        return calls
-
-    @pytest.mark.parametrize("cfg, side", [
-        (FIG2_10X10, "right"),
-        (LARGE_100X10, "left"),
-        (GeneratorConfig(m=200, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
-                         r_hi=200, seed=(7, 200)), "left"),
-    ], ids=["fig2-10x10", "100x10", "200x10"])
-    def test_need_zero_solve_builds_no_graph(self, cfg, side, monkeypatch):
-        inst = gen_instance(cfg)
-        net = reduce_to_circulation(inst)
-        assert (net.need, net.warm_side) == (0, side)
-        calls = self.count_lowerings(monkeypatch)
-        match, augmentations = solve_circulation(net)
-        assert augmentations == 1
-        rep = solve_min_weight(inst)
-        assert calls == []
-        assert rep.telemetry == {"augmentations": 1, "warm_side": side}
-        assert rep.matching == match
-
-        forced = _lower(net)
-        assert forced.min_cost_flow(*super_nodes(inst)) == (0, 0)
-        assert decoded_edges(inst, forced) == match.edges
-
-    def test_solve_with_units_left_builds_the_graph_once(self, monkeypatch):
-        # Neither warm start fits this perfect matching (see
-        # test_neither_side_fits_starts_cold), so the shortest paths run.
-        inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
-                        2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
-        net = reduce_to_circulation(inst)
-        assert net.need == 4
-        calls = self.count_lowerings(monkeypatch)
-        match, _ = solve_circulation(net)
-        assert len(calls) == 1
-        assert decoded_edges(inst, calls[0]) == match.edges
-        assert solve_min_weight(inst).matching == match
-
-
-class TestStartRecord:
-    # The three kinds of start a FlowNetwork records.
-
-    def test_right_start_meets_every_bound(self):
-        inst = gen_instance(FIG2_10X10)
-        net = reduce_to_circulation(inst)
-        assert (net.need, net.warm_side) == (0, "right")
-        # each right node takes its five lightest left nodes
-        lightest = np.argsort(inst.weights, axis=0, kind="stable")[:5]
-        assert sorted(net.picks) == sorted(
-            (int(i), j) for j in range(inst.n) for i in lightest[:, j])
-        np.testing.assert_array_equal(
-            net.theta, np.sort(inst.weights, axis=0)[4])
-
-    def test_left_start_meets_every_bound(self):
-        inst = gen_instance(LARGE_100X10)
-        net = reduce_to_circulation(inst)
-        assert (net.need, net.warm_side) == (0, "left")
-        lightest = inst.weights.argmin(axis=1)
-        assert net.picks == list(enumerate(lightest.tolist()))
-        np.testing.assert_array_equal(net.theta, inst.weights.min(axis=1))
-
-    def test_cold_start_records_no_picks(self):
-        # test_neither_side_fits_starts_cold's perfect matching
-        inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
-                        2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
-        net = reduce_to_circulation(inst)
-        assert (net.need, net.warm_side, net.picks, net.theta) == (
-            4, None, [], None)
-
-
-class TestArcStructure:
-    # The documented arc order: supplies by left node, edges in (left,
-    # right) order, demands by right node, the bypass, s->tt, ss->t,
-    # then the requirement arcs ss->left and right->tt by node id, each
-    # requirement arc only where its bound is positive.
-
-    @staticmethod
-    def reference_arcs(inst):
-        """(tail, head, forward cost, capacity) of every forward arc."""
-        m, n, b = inst.m, inst.n, inst.bounds
-        s, t, left0, right0 = 0, 1, 2, 2 + m
-        ss, tt = super_nodes(inst)
-        arcs = [(s, left0 + i, 0.0, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
-        arcs += [(left0 + i, right0 + j, float(inst.weights[i, j]), 1)
-                 for i in range(m) for j in range(n)]
-        arcs += [(right0 + j, t, 0.0, b.r_hi[j] - b.r_lo[j])
-                 for j in range(n)]
-        arcs.append((t, s, 0.0, min(sum(b.l_hi), sum(b.r_hi))))
-        if sum(b.l_lo) > 0:
-            arcs.append((s, tt, 0.0, sum(b.l_lo)))
-        if sum(b.r_lo) > 0:
-            arcs.append((ss, t, 0.0, sum(b.r_lo)))
-        arcs += [(ss, left0 + i, 0.0, lo) for i, lo in enumerate(b.l_lo)
-                 if lo > 0]
-        arcs += [(right0 + j, tt, 0.0, lo) for j, lo in enumerate(b.r_lo)
-                 if lo > 0]
-        return arcs
-
-    @staticmethod
-    def built_arcs(g):
-        return [(g.to[a + 1], g.to[a], g.cost[a], g.cap[a] + g.cap[a + 1])
-                for a in range(0, len(g.to), 2)]
-
-    def test_lowering_follows_the_documented_order(self):
-        rng = np.random.default_rng(241)
-        zero_lo = 0
-        for trial in range(60):
-            inst = random_instance(rng, max_m=6, max_n=6, max_cells=36,
-                                   per_node=True)
-            if trial % 4 == 0:
-                b = inst.bounds
-                inst = Instance(inst.weights, inst.clusters, inst.k,
-                                DegreeBounds.broadcast(inst.m, inst.n, 0,
-                                                       b.l_hi, 0, b.r_hi))
-            zero_lo += not any(inst.bounds.l_lo) and not any(inst.bounds.r_lo)
-            g = _lower(reduce_to_circulation(inst))
-            expected = self.reference_arcs(inst)
-            assert self.built_arcs(g) == expected
-            assert all(g.cost[a + 1] == -g.cost[a]
-                       for a in range(0, len(g.to), 2))
-            assert all(arcs == sorted(arcs) for arcs in g.adj)
-            if is_feasible_bounds(inst)[0]:
-                g.min_cost_flow(*super_nodes(inst))
-                assert self.built_arcs(g) == expected
-        assert zero_lo >= 15
-
-
 def arc_by_arc_lower(net):
     """The lowered graph built one Graph.add call per arc, in the
-    documented order, with net's warm start flow and potentials; the
-    reference for _lower's bulk layout."""
+    documented order, with net's warm start flow and potentials."""
     inst = net.inst
     m, n = inst.m, inst.n
     b = inst.bounds
@@ -384,22 +331,251 @@ def arc_by_arc_lower(net):
     return g
 
 
+def reference_solve(net):
+    """(edges, augmentations) of the arc-list solve of net: the heap
+    Dijkstras on arc_by_arc_lower's graph, counted as solve_circulation
+    counts them."""
+    g = arc_by_arc_lower(net)
+    sent, augmentations = g.min_cost_flow(*super_nodes(net.inst))
+    assert sent == net.need
+    return (decoded_edges(net.inst, g),
+            augmentations + (net.warm_side is not None))
+
+
+def assert_state_is(state, ref, inst):
+    """state holds ref's arcs, flows and potentials.
+
+    Its explicit arcs are ref's with the m*n edge block cut out, in
+    ref's order; its flow matrix and matched lists are the edge block's
+    flows; each node relaxes ref's explicit arcs out of it, bar those
+    into the super source, its arc into the super sink first.
+    """
+    m, n = inst.m, inst.n
+    lo, hi = 2 * m, 2 * m + 2 * m * n
+    ss, tt = super_nodes(inst)
+    assert state.to == ref.to[:lo] + ref.to[hi:]
+    assert state.cap == ref.cap[:lo] + ref.cap[hi:]
+    flows = [[ref.cap[lo + 2 * (i * n + j) + 1] for j in range(n)]
+             for i in range(m)]
+    assert state.flow == flows
+    assert state.matched == [[i for i in range(m) if flows[i][j]]
+                             for j in range(n)]
+    assert state.w == inst.weights.tolist()
+    assert state.pot == ref.pot
+    renumbered = [[a if a < lo else a - (hi - lo) for a in arcs
+                   if not lo <= a < hi and ref.to[a] != ss]
+                  for arcs in ref.adj]
+    assert state.starts == renumbered[ss]
+    for u in range(ss):
+        sink = [a for a in renumbered[u] if state.to[a] == tt]
+        assert state.adj[u] == sink + [a for a in renumbered[u]
+                                       if a not in sink]
+
+
+class TestReferenceEquivalence:
+    # solve_circulation reads the edge block from the weight matrix and
+    # stops each Dijkstra at the super sink; the arc-list solve must give
+    # the same matching and augmentation count, among tied optima too.
+
+    @staticmethod
+    def assert_same(inst):
+        net = reduce_to_circulation(inst)
+        match, augmentations = solve_circulation(net)
+        assert (match.edges, augmentations) == reference_solve(net)
+
+    def test_random_batch(self):
+        # every third draw has tied weights
+        rng = np.random.default_rng(424242)
+        feasible = 0
+        for trial in range(3000):
+            inst = random_instance(rng, max_m=12, max_n=12, max_cells=144,
+                                   per_node=trial % 2 == 1)
+            if trial % 3 == 0:
+                inst = Instance(np.floor(3 * inst.weights), inst.clusters,
+                                inst.k, inst.bounds)
+            if is_feasible_bounds(inst)[0]:
+                self.assert_same(inst)
+                feasible += 1
+        assert feasible == 1847
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    @pytest.mark.parametrize("name", ["fig2-sweep", "bnb-proof",
+                                      "large-flow", "small-verified"])
+    def test_benchmark_workloads(self, name, seed):
+        for _, inst in benchmark_workloads()[name].generate(seed):
+            if is_feasible_bounds(inst)[0]:
+                self.assert_same(inst)
+
+
+FIG2_10X10 = GeneratorConfig(m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5,
+                             seed=(7, 4, 0))
+LARGE_100X10 = GeneratorConfig(m=100, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
+                               r_hi=100, seed=(7, 100))
+
+
+class TestLazyLowering:
+    # When the warm start meets every bound (need 0) the solve reads its
+    # picks and builds no residual state; a state built anyway carries
+    # the same flow and routes nothing more.
+
+    @staticmethod
+    def count_lowerings(monkeypatch):
+        """The residual states solve_circulation builds from here on."""
+        calls = []
+
+        def counting(net):
+            calls.append(_FlowState(net))
+            return calls[-1]
+
+        monkeypatch.setattr(minweight, "_FlowState", counting)
+        return calls
+
+    @pytest.mark.parametrize("cfg, side", [
+        (FIG2_10X10, "right"),
+        (LARGE_100X10, "left"),
+        (GeneratorConfig(m=200, n=10, k=5, l_lo=1, l_hi=10, r_lo=3,
+                         r_hi=200, seed=(7, 200)), "left"),
+    ], ids=["fig2-10x10", "100x10", "200x10"])
+    def test_need_zero_solve_builds_no_graph(self, cfg, side, monkeypatch):
+        inst = gen_instance(cfg)
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side) == (0, side)
+        calls = self.count_lowerings(monkeypatch)
+        match, augmentations = solve_circulation(net)
+        assert augmentations == 1
+        rep = solve_min_weight(inst)
+        assert calls == []
+        assert rep.telemetry == {"augmentations": 1, "warm_side": side}
+        assert rep.matching == match
+
+        forced = _FlowState(net)
+        assert forced.route() == (0, 0)
+        assert tuple(forced.edges()) == match.edges
+
+    def test_solve_with_units_left_builds_the_graph_once(self, monkeypatch):
+        # Neither warm start fits this perfect matching (see
+        # test_neither_side_fits_starts_cold), so the shortest paths run.
+        inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
+                        2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
+        net = reduce_to_circulation(inst)
+        assert net.need == 4
+        calls = self.count_lowerings(monkeypatch)
+        match, _ = solve_circulation(net)
+        assert len(calls) == 1
+        assert tuple(calls[0].edges()) == match.edges
+        assert solve_min_weight(inst).matching == match
+
+
+class TestStartRecord:
+    # The three kinds of start a FlowNetwork records.
+
+    def test_right_start_meets_every_bound(self):
+        inst = gen_instance(FIG2_10X10)
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side) == (0, "right")
+        # each right node takes its five lightest left nodes
+        lightest = np.argsort(inst.weights, axis=0, kind="stable")[:5]
+        assert sorted(net.picks) == sorted(
+            (int(i), j) for j in range(inst.n) for i in lightest[:, j])
+        np.testing.assert_array_equal(
+            net.theta, np.sort(inst.weights, axis=0)[4])
+
+    def test_left_start_meets_every_bound(self):
+        inst = gen_instance(LARGE_100X10)
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side) == (0, "left")
+        lightest = inst.weights.argmin(axis=1)
+        assert net.picks == list(enumerate(lightest.tolist()))
+        np.testing.assert_array_equal(net.theta, inst.weights.min(axis=1))
+
+    def test_cold_start_records_no_picks(self):
+        # test_neither_side_fits_starts_cold's perfect matching
+        inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]),
+                        2, DegreeBounds.broadcast(2, 2, 1, 1, 1, 1))
+        net = reduce_to_circulation(inst)
+        assert (net.need, net.warm_side, net.picks, net.theta) == (
+            4, None, [], None)
+
+    def test_equality_is_identity(self):
+        # A warm start holds theta, a numpy array, so field-wise equality
+        # would raise; two starts are equal only when they are one object.
+        inst = gen_instance(FIG2_10X10)
+        net, again = reduce_to_circulation(inst), reduce_to_circulation(inst)
+        assert net == net and net != again
+        assert len({net, again, net}) == 2
+
+
+class TestArcStructure:
+    # The documented arc order: supplies by left node, edges in (left,
+    # right) order, demands by right node, the bypass, s->tt, ss->t,
+    # then the requirement arcs ss->left and right->tt by node id, each
+    # requirement arc only where its bound is positive.
+
+    @staticmethod
+    def reference_arcs(inst):
+        """(tail, head, forward cost, capacity) of every forward arc."""
+        m, n, b = inst.m, inst.n, inst.bounds
+        s, t, left0, right0 = 0, 1, 2, 2 + m
+        ss, tt = super_nodes(inst)
+        arcs = [(s, left0 + i, 0.0, b.l_hi[i] - b.l_lo[i]) for i in range(m)]
+        arcs += [(left0 + i, right0 + j, float(inst.weights[i, j]), 1)
+                 for i in range(m) for j in range(n)]
+        arcs += [(right0 + j, t, 0.0, b.r_hi[j] - b.r_lo[j])
+                 for j in range(n)]
+        arcs.append((t, s, 0.0, min(sum(b.l_hi), sum(b.r_hi))))
+        if sum(b.l_lo) > 0:
+            arcs.append((s, tt, 0.0, sum(b.l_lo)))
+        if sum(b.r_lo) > 0:
+            arcs.append((ss, t, 0.0, sum(b.r_lo)))
+        arcs += [(ss, left0 + i, 0.0, lo) for i, lo in enumerate(b.l_lo)
+                 if lo > 0]
+        arcs += [(right0 + j, tt, 0.0, lo) for j, lo in enumerate(b.r_lo)
+                 if lo > 0]
+        return arcs
+
+    @staticmethod
+    def built_arcs(g):
+        return [(g.to[a + 1], g.to[a], g.cost[a], g.cap[a] + g.cap[a + 1])
+                for a in range(0, len(g.to), 2)]
+
+    def test_lowering_follows_the_documented_order(self):
+        # The arc-list build follows the order, and the residual state
+        # holds its arcs, before and after routing.
+        rng = np.random.default_rng(241)
+        zero_lo = 0
+        for trial in range(60):
+            inst = random_instance(rng, max_m=6, max_n=6, max_cells=36,
+                                   per_node=True)
+            if trial % 4 == 0:
+                b = inst.bounds
+                inst = Instance(inst.weights, inst.clusters, inst.k,
+                                DegreeBounds.broadcast(inst.m, inst.n, 0,
+                                                       b.l_hi, 0, b.r_hi))
+            zero_lo += not any(inst.bounds.l_lo) and not any(inst.bounds.r_lo)
+            net = reduce_to_circulation(inst)
+            ref, state = arc_by_arc_lower(net), _FlowState(net)
+            expected = self.reference_arcs(inst)
+            assert self.built_arcs(ref) == expected
+            assert all(ref.cost[a + 1] == -ref.cost[a]
+                       for a in range(0, len(ref.to), 2))
+            assert all(arcs == sorted(arcs) for arcs in ref.adj)
+            assert_state_is(state, ref, inst)
+            if is_feasible_bounds(inst)[0]:
+                assert state.route() == ref.min_cost_flow(*super_nodes(inst))
+                assert self.built_arcs(ref) == expected
+                assert_state_is(state, ref, inst)
+        assert zero_lo >= 15
+
+
 class TestBulkLowering:
-    # _lower lays out the supply arcs and the edge block in bulk; every
-    # entry must equal the arc-by-arc build's, the -0.0 costs of the
-    # reverse arcs included, so arc ids, adj order and tie-breaks hold.
+    # The residual state reads the edge block in bulk from the weight
+    # matrix; with the warm start applied it must hold every arc, flow
+    # and potential of the arc-by-arc build.
 
     @staticmethod
     def assert_same_graph(inst):
         net = reduce_to_circulation(inst)
-        g, ref = _lower(net), arc_by_arc_lower(net)
-        assert g.adj == ref.adj
-        assert g.to == ref.to
-        assert g.cap == ref.cap
-        assert g.pot == ref.pot
-        # == alone would let a 0.0 stand for a -0.0
-        signed = [(c, math.copysign(1.0, c)) for c in g.cost]
-        assert signed == [(c, math.copysign(1.0, c)) for c in ref.cost]
+        assert_state_is(_FlowState(net), arc_by_arc_lower(net), inst)
         return net.warm_side
 
     def test_random_instances(self):
@@ -479,17 +655,16 @@ class TestOneExcessStart:
     # Each shortest path starts at the head of the super source's first
     # open arc.  Where several arcs are open (cold starts with lower
     # bounds on both sides, right warm starts that leave two or more left
-    # nodes short), min_cost_flow must still send need, at optimal weight.
+    # nodes short), the routing must still send need, at optimal weight.
 
     @staticmethod
     def route(inst):
-        """(weight, kind) of min_cost_flow's answer on a feasible inst;
-        kind is "cold" or "right" when the super source starts with two
-        or more open arcs after that kind of start, else None."""
+        """(weight, kind) of the routed answer on a feasible inst; kind is
+        "cold" or "right" when the super source starts with two or more
+        open arcs after that kind of start, else None."""
         net = reduce_to_circulation(inst)
-        g = _lower(net)
-        ss, tt = super_nodes(inst)
-        opened = sum(g.cap[a] > 0 for a in g.adj[ss])
+        state = _FlowState(net)
+        opened = sum(state.cap[a] > 0 for a in state.starts)
         b = inst.bounds
         kind = None
         if opened >= 2:
@@ -497,9 +672,9 @@ class TestOneExcessStart:
                 kind = "cold"
             elif net.warm_side == "right":
                 kind = "right"
-        sent, _ = g.min_cost_flow(ss, tt)
+        sent, _ = state.route()
         assert sent == net.need
-        match = Matching(decoded_edges(inst, g))
+        match = Matching(state.edges())
         ok, violations = check_matching(inst, match)
         assert ok, violations
         return total_weight(inst, match), kind

@@ -2,12 +2,16 @@
 
 Random instances use numpy's default generator (PCG64), a named and
 documented PRNG, so a seed plus a config reproduces every instance bit
-for bit.  Batch runs derive one child seed per trial from the master
-seed as the sequence [master, sweep value, trial index]; the CSVs they
-emit are byte-identical across runs except for wall-time cells and the
-cells of an exact solve that stopped on its budget (such as
-`run_scaling`'s `cost_exact` on a large shape): those depend on how far
-the clock let the search go.
+for bit.  Cluster labels are redrawn in blocks of doubling row counts,
+and the first draw in stream order that uses every cluster is kept, so
+an instance is the one a row-by-row redraw gives (a test pins this),
+while a config near the refusal cut costs a few hundred block draws,
+not one interpreter round trip per draw.  Batch runs derive one child
+seed per trial from the master seed as the sequence [master, sweep
+value, trial index]; the CSVs they emit are byte-identical across runs
+except for wall-time cells and the cells of an exact solve that stopped
+on its budget (such as `run_scaling`'s `cost_exact` on a large shape):
+those depend on how far the clock let the search go.
 
 Three batteries mirror the synthetic experiments this package is asked
 to support: a cluster-count sweep comparing the diverse solvers against
@@ -27,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .exact import solve_diverse_exact
 from .greedy import solve_diverse_greedy
-from .instance import DegreeBounds, Instance
+from .instance import DegreeBounds, Instance, _is_int, _is_sequence
 from .metrics import MetricsReport, _csv_cell, compute_metrics
 from .minweight import solve_min_weight
 
@@ -41,8 +45,13 @@ class GeneratorConfig:
     Weights are i.i.d. uniform on [0, 1); cluster labels are uniform on
     {0..k-1}, redrawn in full until every cluster is nonempty (a config
     whose one draw does so with probability below 1e-6 is refused).
-    Bounds are scalars broadcast to every node; upper bounds default to
-    the loosest legal value (the opposite side's size).
+    Redraws come in blocks of 2, 4, 8, ... label vectors, and the first
+    covering vector in stream order is kept, so the labels are those of
+    a one-vector-at-a-time redraw.  Bounds are scalars broadcast to
+    every node; upper bounds default to the loosest legal value (the
+    opposite side's size).  m, n and k are integers and seed is a
+    nonnegative integer or a nonempty sequence of them; gen_instance
+    refuses anything else before it draws.
     """
 
     m: int
@@ -55,17 +64,29 @@ class GeneratorConfig:
     seed: int | Sequence[int] = 0
 
 
+# labels per redraw block: caps a block and its coverage table at about
+# 64K entries whatever m is
+_LABEL_BLOCK = 1 << 16
+
+
 def gen_instance(cfg: GeneratorConfig) -> Instance:
     """Draw one instance from the config's seeded distribution."""
-    if cfg.k > cfg.m:
-        raise ConfigError(
-            f"k = {cfg.k} clusters cannot all be nonempty with m = {cfg.m} "
-            "left nodes")
-    if min(cfg.m, cfg.n, cfg.k) < 1:
+    for name in ("m", "n", "k"):
+        if not _is_int(getattr(cfg, name)):
+            raise ConfigError(
+                f"{name} must be an integer, got {getattr(cfg, name)!r}")
+    seeds = cfg.seed if _is_sequence(cfg.seed) else (cfg.seed,)
+    if not (len(seeds) and all(_is_int(s) and s >= 0 for s in seeds)):
+        raise ConfigError("seed must be a nonnegative integer or a nonempty "
+                          f"sequence of them, got {cfg.seed!r}")
+    # Python ints, so k ** m below cannot wrap
+    m, n, k = int(cfg.m), int(cfg.n), int(cfg.k)
+    if min(m, n, k) < 1:
         raise ConfigError("m, n, k must all be positive")
-    if np.any(np.asarray(cfg.seed) < 0):
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed!r}")
-    m, k = cfg.m, cfg.k
+    if k > m:
+        raise ConfigError(
+            f"k = {k} clusters cannot all be nonempty with m = {m} "
+            "left nodes")
     draws = k ** m
     # covered of the k^m equally likely draws hold all k labels (inclusion-
     # exclusion); the sum runs only where the union bound cannot show
@@ -78,16 +99,37 @@ def gen_instance(cfg: GeneratorConfig) -> Instance:
                 f"a draw of m = {m} uniform labels covers all k = {k} "
                 f"clusters with probability {covered / draws:.3g}, below "
                 "1e-6; refusing to redraw until it does")
-    rng = np.random.default_rng(cfg.seed)
-    weights = rng.random((cfg.m, cfg.n))
-    clusters = rng.integers(0, cfg.k, size=cfg.m)
-    while len(set(clusters.tolist())) < cfg.k:
-        clusters = rng.integers(0, cfg.k, size=cfg.m)
     bounds = DegreeBounds.broadcast(
-        cfg.m, cfg.n,
-        cfg.l_lo, cfg.n if cfg.l_hi is None else cfg.l_hi,
-        cfg.r_lo, cfg.m if cfg.r_hi is None else cfg.r_hi)
-    return Instance(weights, clusters, cfg.k, bounds)
+        m, n,
+        cfg.l_lo, n if cfg.l_hi is None else cfg.l_hi,
+        cfg.r_lo, m if cfg.r_hi is None else cfg.r_hi)
+    rng = np.random.default_rng(cfg.seed)
+    weights = rng.random((m, n))
+    clusters = rng.integers(0, k, size=m)
+    if len(set(clusters.tolist())) < k:
+        clusters = _redraw_labels(rng, m, k)
+    return Instance(weights, clusters, k, bounds)
+
+
+def _redraw_labels(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """The next vector of m labels in rng's stream that uses all k.
+
+    Vectors are drawn as (rows, m) blocks, rows doubling from 2 up to
+    _LABEL_BLOCK labels a block.  PCG64 yields the same labels drawn one
+    vector at a time or as one block, so the first covering row of the
+    first block that has one is where a vector-by-vector redraw stops.
+    """
+    cap = max(1, _LABEL_BLOCK // m)
+    rows = min(2, cap)
+    while True:
+        block = rng.integers(0, k, size=(rows, m))
+        # hit[r * k + c]: row r holds label c
+        hit = np.zeros(rows * k, dtype=bool)
+        hit[block + np.arange(0, rows * k, k)[:, None]] = True
+        covering = np.flatnonzero(hit.reshape(rows, k).all(axis=1))
+        if covering.size:
+            return block[covering[0]]
+        rows = min(2 * rows, cap)
 
 
 def _csv_table(header: str, rows: list[dict]) -> str:

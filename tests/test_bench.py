@@ -9,9 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import benchmark_workloads
 from divmatch import (
     ConfigError,
+    DegreeBounds,
     GeneratorConfig,
+    InstanceError,
     gen_instance,
     run_bounds_sweep,
     run_cluster_sweep,
@@ -22,6 +25,7 @@ from divmatch import (
     solve_diverse_greedy,
     solve_min_weight,
 )
+from divmatch import bench
 
 
 def mask_wall_cells(csv_text):
@@ -78,6 +82,117 @@ class TestGenerator:
         for seed in (-1, (3, -2)):
             with pytest.raises(ConfigError, match="seed"):
                 gen_instance(GeneratorConfig(m=2, n=2, k=1, seed=seed))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(m=3.0), "m must be an integer"),
+        (dict(k=2.0), "k must be an integer"),
+        (dict(n=True), "n must be an integer"),
+        (dict(seed=1.5), "seed"),
+        (dict(seed="7"), "seed"),
+        (dict(seed=True), "seed"),
+        (dict(seed=()), "seed"),
+        (dict(seed=(3, 1.0)), "seed"),
+        (dict(m=0, k=1), "positive"),
+    ], ids=["float-m", "float-k", "bool-n", "float-seed", "str-seed",
+            "bool-seed", "empty-seed", "float-in-seed", "zero-m"])
+    def test_refuses_malformed_config_before_drawing(self, monkeypatch,
+                                                     kwargs, match):
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: drawn.append(args))
+        cfg = GeneratorConfig(**{**dict(m=3, n=2, k=2, seed=0), **kwargs})
+        with pytest.raises(ConfigError, match=match):
+            gen_instance(cfg)
+        assert drawn == []
+
+    def test_bad_bounds_fail_before_drawing(self, monkeypatch):
+        # l_lo = 3 > n = 2; m = k = 16 would first spend about 9e5
+        # label redraws
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(InstanceError):
+            gen_instance(GeneratorConfig(m=16, n=2, k=16, l_lo=3))
+        assert drawn == []
+
+    def test_numpy_ints_match_python_ints(self):
+        cfg = GeneratorConfig(m=12, n=3, k=12, r_lo=2, seed=(5, 12))
+        as_numpy = GeneratorConfig(m=np.int64(12), n=np.int32(3),
+                                   k=np.uint8(12), r_lo=2,
+                                   seed=(np.uint64(5), np.int16(12)))
+        assert gen_instance(as_numpy) == gen_instance(cfg)
+        # k ** m in numpy's int64 would wrap to a small number here
+        with pytest.raises(ConfigError, match="probability"):
+            gen_instance(GeneratorConfig(m=np.int64(30), n=2,
+                                         k=np.int64(30)))
+
+    def test_worst_accepted_config_covers_every_cluster(self):
+        # m = k = 16 covers with probability about 1.1e-6, just above the
+        # cut: about 9e5 redraws, which a vector-by-vector redraw spends
+        # seconds on
+        start = time.perf_counter()
+        inst = gen_instance(GeneratorConfig(m=16, n=2, k=16, seed=3))
+        assert time.perf_counter() - start < 2.0
+        assert sorted(inst.clusters.tolist()) == list(range(16))
+
+
+def reference_instance(cfg):
+    """gen_instance's draws one label vector at a time, as it drew them
+    before block redraws: weights, labels until every cluster is used,
+    then the bounds."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = rng.random((cfg.m, cfg.n))
+    clusters = rng.integers(0, cfg.k, size=cfg.m)
+    while len(set(clusters.tolist())) < cfg.k:
+        clusters = rng.integers(0, cfg.k, size=cfg.m)
+    bounds = DegreeBounds.broadcast(
+        cfg.m, cfg.n,
+        cfg.l_lo, cfg.n if cfg.l_hi is None else cfg.l_hi,
+        cfg.r_lo, cfg.m if cfg.r_hi is None else cfg.r_hi)
+    return weights, clusters, bounds
+
+
+def assert_matches_reference(cfg):
+    inst = gen_instance(cfg)
+    weights, clusters, bounds = reference_instance(cfg)
+    assert inst.weights.tobytes() == weights.tobytes(), cfg
+    assert inst.clusters.tolist() == clusters.tolist(), cfg
+    assert inst.bounds == bounds, cfg
+
+
+def near_cut_configs():
+    """Configs whose first label vector seldom covers, at n = 1 and 2:
+    m = k and m = k + 1 for k = 2..12 at int and tuple seeds, and m = k
+    = 13 and 14 (covering probability 2.0e-5 and 7.8e-6) at seed 0."""
+    # a vector-by-vector redraw costs about 5 us, and m = k = 14 needs
+    # 1.3e5 of them a seed on average, so it gets one seed
+    out = [GeneratorConfig(m=m, n=1 + m % 2, k=k, r_lo=1, seed=seed)
+           for k in range(2, 13) for m in (k, k + 1)
+           for seed in (0, 1, 2, (0, m, k), (1, m, k))]
+    return out + [GeneratorConfig(m=m, n=1 + m % 2, k=m, seed=0)
+                  for m in (13, 14)]
+
+
+class TestReferenceRedraw:
+    def test_near_cut_configs(self):
+        for cfg in near_cut_configs():
+            assert_matches_reference(cfg)
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_benchmark_workloads(self, seed):
+        for w in benchmark_workloads().values():
+            for _, cfg in w.configs(seed):
+                assert_matches_reference(cfg)
+
+    def test_capped_blocks(self, monkeypatch):
+        # a 30-label cap holds 3 rows of 10: most redraws of m = k = 10
+        # (about 2,750 vectors a seed) run in capped blocks, and odd m
+        # leaves the cap's last labels unused
+        for block, m in ((30, 10), (30, 9), (1, 7)):
+            monkeypatch.setattr(bench, "_LABEL_BLOCK", block)
+            for seed in (0, 1, (2, m)):
+                assert_matches_reference(
+                    GeneratorConfig(m=m, n=2, k=m, seed=seed))
 
 
 FIG2_SEED7_DIGEST = (

@@ -2,7 +2,7 @@
 
 Random instances use numpy's default generator (PCG64), a named and
 documented PRNG, so a seed plus a config reproduces every instance bit
-for bit.  Cluster labels are redrawn in blocks of doubling row counts,
+for bit.  Cluster labels are drawn in blocks of doubling row counts,
 and the first draw in stream order that uses every cluster is kept, so
 an instance is the one a row-by-row redraw gives (a test pins this),
 while a config near the refusal cut costs a few hundred block draws,
@@ -45,7 +45,7 @@ class GeneratorConfig:
     Weights are i.i.d. uniform on [0, 1); cluster labels are uniform on
     {0..k-1}, redrawn in full until every cluster is nonempty (a config
     whose one draw does so with probability below 1e-6 is refused).
-    Redraws come in blocks of 2, 4, 8, ... label vectors, and the first
+    Draws come in blocks of 1, 2, 4, ... label vectors, and the first
     covering vector in stream order is kept, so the labels are those of
     a one-vector-at-a-time redraw.  Bounds are scalars broadcast to
     every node; upper bounds default to the loosest legal value (the
@@ -64,7 +64,7 @@ class GeneratorConfig:
     seed: int | Sequence[int] = 0
 
 
-# labels per redraw block: caps a block and its coverage table at about
+# labels per draw block: caps a block and its coverage table at about
 # 64K entries whatever m is
 _LABEL_BLOCK = 1 << 16
 
@@ -105,28 +105,25 @@ def gen_instance(cfg: GeneratorConfig) -> Instance:
         cfg.r_lo, m if cfg.r_hi is None else cfg.r_hi)
     rng = np.random.default_rng(cfg.seed)
     weights = rng.random((m, n))
-    clusters = rng.integers(0, k, size=m)
-    if len(set(clusters.tolist())) < k:
-        clusters = _redraw_labels(rng, m, k)
-    return Instance(weights, clusters, k, bounds)
+    return Instance(weights, _draw_labels(rng, m, k), k, bounds)
 
 
-def _redraw_labels(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    """The next vector of m labels in rng's stream that uses all k.
+def _draw_labels(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """The first vector of m labels in rng's stream that uses all k.
 
-    Vectors are drawn as (rows, m) blocks, rows doubling from 2 up to
+    Vectors are drawn as (rows, m) blocks, rows doubling from 1 up to
     _LABEL_BLOCK labels a block.  PCG64 yields the same labels drawn one
     vector at a time or as one block, so the first covering row of the
     first block that has one is where a vector-by-vector redraw stops.
     """
     cap = max(1, _LABEL_BLOCK // m)
-    rows = min(2, cap)
+    rows = 1
     while True:
         block = rng.integers(0, k, size=(rows, m))
-        # hit[r * k + c]: row r holds label c
-        hit = np.zeros(rows * k, dtype=bool)
-        hit[block + np.arange(0, rows * k, k)[:, None]] = True
-        covering = np.flatnonzero(hit.reshape(rows, k).all(axis=1))
+        # hit[r, c]: row r holds label c
+        hit = np.zeros((rows, k), dtype=bool)
+        hit.flat[block + np.arange(0, rows * k, k)[:, None]] = True
+        covering = np.flatnonzero(hit.all(axis=1))
         if covering.size:
             return block[covering[0]]
         rows = min(2 * rows, cap)

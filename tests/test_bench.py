@@ -129,10 +129,8 @@ class TestGenerator:
     def test_worst_accepted_config_covers_every_cluster(self):
         # m = k = 16 covers with probability about 1.1e-6, just above the
         # cut: about 9e5 redraws, which a vector-by-vector redraw spends
-        # seconds on
-        start = time.perf_counter()
+        # seconds on (CI's console-script step bounds the time)
         inst = gen_instance(GeneratorConfig(m=16, n=2, k=16, seed=3))
-        assert time.perf_counter() - start < 2.0
         assert sorted(inst.clusters.tolist()) == list(range(16))
 
 
@@ -162,15 +160,17 @@ def assert_matches_reference(cfg):
 
 def near_cut_configs():
     """Configs whose first label vector seldom covers, at n = 1 and 2:
-    m = k and m = k + 1 for k = 2..12 at int and tuple seeds, and m = k
-    = 13 and 14 (covering probability 2.0e-5 and 7.8e-6) at seed 0."""
-    # a vector-by-vector redraw costs about 5 us, and m = k = 14 needs
-    # 1.3e5 of them a seed on average, so it gets one seed
+    m = k and m = k + 1 for k = 2..12 at three int and two tuple seeds,
+    m = k = 13 (covering probability 2.0e-5) at seeds 0 and (0, 13, 13),
+    and m = k = 14 (7.8e-6) at seed 0."""
+    # a vector-by-vector redraw costs about 5 us, and m = k = 13 and 14
+    # need about 5e4 and 1.3e5 of them a seed on average, so they get
+    # fewer seeds
     out = [GeneratorConfig(m=m, n=1 + m % 2, k=k, r_lo=1, seed=seed)
            for k in range(2, 13) for m in (k, k + 1)
            for seed in (0, 1, 2, (0, m, k), (1, m, k))]
-    return out + [GeneratorConfig(m=m, n=1 + m % 2, k=m, seed=0)
-                  for m in (13, 14)]
+    return out + [GeneratorConfig(m=m, n=1 + m % 2, k=m, seed=seed)
+                  for m, seed in ((13, 0), (13, (0, 13, 13)), (14, 0))]
 
 
 class TestReferenceRedraw:

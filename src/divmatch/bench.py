@@ -211,7 +211,7 @@ def run_cluster_sweep(k_values: Sequence[int] = tuple(range(2, 11)),
     L_hi = n), solve the weight baseline, the exact diverse objective
     and the greedy heuristic, then record metrics.  Every trial is
     feasible, as DegreeBounds enforces r_lo <= m, and right_only, so the
-    exact solve is its dynamic program and needs no budget.
+    exact solve is greedy's take rounds and needs no budget.
     """
     batch = TrialBatch()
     for k in k_values:
@@ -235,7 +235,7 @@ def run_bounds_sweep(m: int = 8, n: int = 4, k: int = 3,
 
     The weight matrix and clusters are drawn once; only the bounds move,
     and with the left side open every r_lo is feasible and right_only
-    (exact's dynamic program, no budget needed).  At r_lo = m
+    (exact's take rounds, no budget needed).  At r_lo = m
     every right node must take every left node, the matching is unique,
     and the price of diversity is exactly 1.
     """

@@ -5,10 +5,9 @@ solve_diverse_exact picks one of two routes by Instance.right_only.
 Right-constrained instances (no left lower bounds, left upper bounds at
 least n) decompose: right nodes share no binding constraint, and because
 the objective is monotone in edge addition, each right node takes exactly
-its lower bound's worth of edges.  Within one right node and one cluster
-the cheapest t edges are the best t edges, so one dynamic program over
-per-cluster take counts (_cluster_dp), run for all right nodes at once,
-is exact.
+its lower bound's worth of edges.  Each right node is then a separable
+convex allocation, which greedy's take rounds (greedy._per_right_node)
+solve exactly; greedy's module docstring says why.
 
 Everything else runs depth-first branch and bound over edge decisions.
 A search node fixes some edges in and some out.  The whole search works
@@ -50,14 +49,15 @@ Before the search, a Lagrangian bound prices what the completion bound
 leaves out: how the left degree bounds interact.  Multipliers move the
 left bounds into the objective, which leaves one subproblem per right
 node, solved exactly by enumerating each cluster's member subsets (up
-to SUBSET_CAP members) and running _cluster_dp, the right-constrained
-route's dynamic program, with each edge's multiplier added.  Projected
-subgradient steps raise the bound toward the best cost known.  A
-subproblem solution that meets every left bound is a feasible matching,
-and it replaces the incumbent when its fresh cost is lower.  The bound
-runs once, at the root, and only if root pricing leaves the root open;
-the search then stops as soon as the incumbent is within PRUNE_TOL of
-it, so most proofs close at the root with no node expanded.
+to SUBSET_CAP members) and combining the clusters with a dynamic
+program over per-cluster take counts (_cluster_dp), with each edge's
+multiplier added.  Projected subgradient steps raise the bound toward
+the best cost known.  A subproblem solution that meets every left bound
+is a feasible matching, and it replaces the incumbent when its fresh
+cost is lower.  The bound runs once, at the root, and only if root
+pricing leaves the root open; the search then stops as soon as the
+incumbent is within PRUNE_TOL of it, so most proofs close at the root
+with no node expanded.
 
 The search is anytime: the minimum-weight matching seeds the incumbent,
 and so sets the Lagrangian bound's first target, and a millisecond
@@ -86,7 +86,7 @@ from .errors import ConfigError, InternalError
 # solve_diverse_greedy, solve_min_weight, check_matching and total_weight
 # go unused here, but perfbench/tracing.py's PATCHES patches them in this
 # module by name
-from .greedy import solve_diverse_greedy
+from .greedy import _per_right_node, solve_diverse_greedy
 from .instance import (Instance, Matching, _full_cost, check_matching,
                        is_feasible_bounds)
 from .minweight import solve_min_weight
@@ -151,38 +151,6 @@ def _cluster_dp(tables: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         takes[c] = steps[c][cols, t]
         t = t - takes[c]
     return best, takes
-
-
-def _solve_right_constrained(inst: Instance) -> tuple[Matching, float]:
-    """Per-right-node exact optimum of a right_only instance, and its cost.
-
-    Each cluster's cheapest t members at a column are its t lightest
-    there, so one sort per column prices them all for _cluster_dp.
-    """
-    demand = np.array(inst.bounds.r_lo)
-    w, n, top = inst.weights, inst.n, int(demand.max())
-    cols, rank = np.arange(n), np.arange(top)
-    sizes = np.bincount(inst.clusters, minlength=inst.k)
-    # each column's left nodes grouped by cluster, cheapest first, stable
-    order = np.argsort(w, axis=0, kind="stable")
-    order = order[np.argsort(inst.clusters[order], axis=0, kind="stable"),
-                  cols]
-    # lefts[c, r, j] is cluster c's r-th cheapest member at column j
-    start = np.cumsum(sizes) - sizes
-    lefts = order[np.minimum(start[:, None] + rank, inst.m - 1)]
-    squares = np.cumsum(w[lefts, cols], axis=1) ** 2
-    squares[rank >= sizes[:, None]] = math.inf
-    best, takes = _cluster_dp(squares.transpose(0, 2, 1), demand, demand,
-                              sizes)
-    if np.isinf(best).any():
-        j = int(np.argmax(np.isinf(best)))
-        raise InternalError(f"right node {j} cannot meet demand "
-                            f"{demand[j]} with {inst.m} left nodes")
-    edges = []
-    for c, take in enumerate(takes):
-        sel = rank[:, None] < take
-        edges += zip(lefts[c][sel].tolist(), np.nonzero(sel)[1].tolist())
-    return Matching._trusted(edges), sum(best.tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,7 +498,7 @@ def solve_diverse_exact(inst: Instance,
                         budget_ms: Optional[float] = None) -> SolveReport:
     """Globally minimize the concentration cost under all degree bounds.
 
-    right_only instances take the per-right-node dynamic program
+    right_only instances take greedy's take rounds, exact there
     (telemetry fast_path True); all others branch and bound.  Completes
     with status optimal, or returns the best incumbent as
     feasible_incumbent when budget_ms elapses first.  The budget is
@@ -554,7 +522,7 @@ def solve_diverse_exact(inst: Instance,
         return _finish("diverse_exact", inst, start, None, INFEASIBLE, why)
 
     if inst.right_only:
-        incumbent, tracked = _solve_right_constrained(inst)
+        incumbent, _, tracked = _per_right_node(inst)
         lower_bound, timed_out = None, False
         telemetry = {"fast_path": True, "expanded": 0, "pruned": 0,
                      "peak_depth": 0, "incumbent_updates": [],
@@ -574,7 +542,7 @@ def solve_diverse_exact(inst: Instance,
                                                 inst.k):
         raise InternalError(
             f"incumbent value drifted: tracked {tracked}, actual {value}")
-    if lower_bound is None:  # the dynamic program's answer is the optimum
+    if lower_bound is None:  # the take rounds' answer is the optimum
         lower_bound = value
     # telemetry is the report's own dict
     telemetry["lower_bound"] = lower_bound

@@ -24,7 +24,12 @@ compete for left capacity, so the construction picks each right
 node's edges on its own, in take rounds: round t prices every right
 node that still owes an edge in one numpy step, one gains column per
 node.  That path selects the same edges, in the same tie-break order,
-with the same number of gain evaluations as the round-based one.
+with the same number of gain evaluations as the round-based one.  It is
+also exact, so the exact solver runs it too: each right node is a
+separable convex allocation, each cluster taken lightest first, and a
+cluster's t-th take costs w_t * (2 * P_{t-1} + w_t), which never falls
+as t grows, so the cheapest marginal gain each round is optimal (Gross,
+RAND RM-1644, 1956; Ibaraki and Katoh, Resource Allocation Problems, 1988).
 
 The result carries no optimality proof: status is feasible_incumbent.
 """
@@ -99,14 +104,14 @@ def _round_based(inst: Instance) -> tuple[Optional[Matching], int, str]:
     return res.matching(), gain_evaluations, ""
 
 
-def _per_right_node(inst: Instance) -> tuple[Matching, int]:
-    """Greedy for right_only instances: (matching, gain evaluations).
+def _per_right_node(inst: Instance) -> tuple[Matching, int, float]:
+    """Optimum of a right_only instance: (matching, gain evaluations, cost).
 
     Each right node takes its lower bound's worth of edges, cheapest
     marginal gain first, ties to the lowest left index.  Take round t
     prices every right node with r_lo > t at once: a column's argmin in
     the gains matrix is that node's pick.  A taken cell's squared weight
-    is set to infinity, so its gain is too.
+    is set to infinity, so its gain is too.  The cost squares the cluster sums.
     """
     w, clusters = inst.weights, inst.clusters
     r_lo = np.array(inst.bounds.r_lo)
@@ -122,7 +127,8 @@ def _per_right_node(inst: Instance) -> tuple[Matching, int]:
         gain_evaluations += (inst.m - t) * active.size
         rows += picks.tolist()
         cols += active.tolist()
-    return Matching._trusted(zip(rows, cols)), gain_evaluations
+    return (Matching._trusted(zip(rows, cols)), gain_evaluations,
+            float((sums * sums).sum()))
 
 
 def solve_diverse_greedy(inst: Instance) -> SolveReport:
@@ -136,7 +142,7 @@ def solve_diverse_greedy(inst: Instance) -> SolveReport:
     if not feasible:
         return _finish("greedy", inst, start, None, INFEASIBLE, why)
     match, gain_evaluations, dead_end = (
-        (*_per_right_node(inst), "") if inst.right_only
+        (*_per_right_node(inst)[:2], "") if inst.right_only
         else _round_based(inst))
     telemetry = {"gain_evaluations": gain_evaluations}
     if match is not None:

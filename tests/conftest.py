@@ -2,12 +2,13 @@
 
 import functools
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from divmatch import DegreeBounds, Instance
+from divmatch import DegreeBounds, Instance, Matching
 
 
 def random_instance(rng, max_m=5, max_n=5, max_k=3, max_cells=20,
@@ -64,6 +65,50 @@ def counting_feasible(res, usable):
         return False
     return not ((need_l > usable.sum(axis=1)).any()
                 or (need_r > usable.sum(axis=0)).any())
+
+
+def _reference_right_dp(inst):
+    """An exact right_only optimum, built independently of the solvers:
+    (matching, cost).
+
+    Per right node, a dynamic program over per-cluster take counts, each
+    cluster's cheapest t members being its t lightest at that node
+    (stable sort); on a tie each cluster's step keeps the fewest taken.
+    """
+    b = inst.bounds
+    members = [np.nonzero(inst.clusters == c)[0] for c in range(inst.k)]
+    edges = []
+    cost = 0.0
+    for j in range(inst.n):
+        demand = b.r_lo[j]
+        if demand == 0:
+            continue
+        col = inst.weights[:, j]
+        order = [mem[np.argsort(col[mem], kind="stable")] for mem in members]
+        prefix = [np.concatenate(([0.0], np.cumsum(col[lefts])))
+                  for lefts in order]
+        dp = np.full(demand + 1, math.inf)
+        dp[0] = 0.0
+        takes = []
+        for c in range(inst.k):
+            size = len(order[c])
+            nxt = np.full(demand + 1, math.inf)
+            choice = np.zeros(demand + 1, dtype=np.int64)
+            for t in range(demand + 1):
+                for take in range(0, min(t, size) + 1):
+                    cand = dp[t - take] + prefix[c][take] ** 2
+                    if cand < nxt[t]:
+                        nxt[t] = cand
+                        choice[t] = take
+            dp = nxt
+            takes.append(choice)
+        cost += float(dp[demand])
+        t = demand
+        for c in range(inst.k - 1, -1, -1):
+            take = int(takes[c][t])
+            edges.extend((int(i), j) for i in order[c][:take])
+            t -= take
+    return Matching(edges), cost
 
 
 def dead_end_instance():

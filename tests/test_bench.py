@@ -292,7 +292,7 @@ class TestTrialsCsv:
 class TestSweepPremise:
     def test_every_row_is_right_only(self):
         # Both sweeps keep the left side open, so every instance is
-        # right_only: the exact solve is its dynamic program, which no
+        # right_only: the exact solve is the take rounds, which no
         # budget stops, and pod_bound is a floor under pod.
         cluster = run_cluster_sweep(k_values=(2, 4), trials=3, m=6, n=6,
                                     r_lo=3)

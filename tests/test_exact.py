@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import operator
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +34,8 @@ from divmatch import (
 )
 from divmatch import exact
 from divmatch._residual import Residual
-from conftest import counting_feasible, dead_end_instance, random_instance
+from conftest import (_reference_right_dp, counting_feasible,
+                      dead_end_instance, random_instance)
 
 
 class TestKnownAnswers:
@@ -97,44 +97,6 @@ class TestOracleAgreement:
                 rep.diversity_cost, oracle.diversity_cost, rtol=0, atol=1e-9)
 
 
-def _reference_right_dp(inst):
-    """The per-right-node loop that the vectorized dynamic program replaced."""
-    b = inst.bounds
-    members = [np.nonzero(inst.clusters == c)[0] for c in range(inst.k)]
-    edges = []
-    cost = 0.0
-    for j in range(inst.n):
-        demand = b.r_lo[j]
-        if demand == 0:
-            continue
-        col = inst.weights[:, j]
-        order = [mem[np.argsort(col[mem], kind="stable")] for mem in members]
-        prefix = [np.concatenate(([0.0], np.cumsum(col[lefts])))
-                  for lefts in order]
-        dp = np.full(demand + 1, math.inf)
-        dp[0] = 0.0
-        takes = []
-        for c in range(inst.k):
-            size = len(order[c])
-            nxt = np.full(demand + 1, math.inf)
-            choice = np.zeros(demand + 1, dtype=np.int64)
-            for t in range(demand + 1):
-                for take in range(0, min(t, size) + 1):
-                    cand = dp[t - take] + prefix[c][take] ** 2
-                    if cand < nxt[t]:
-                        nxt[t] = cand
-                        choice[t] = take
-            dp = nxt
-            takes.append(choice)
-        cost += float(dp[demand])
-        t = demand
-        for c in range(inst.k - 1, -1, -1):
-            take = int(takes[c][t])
-            edges.extend((int(i), j) for i in order[c][:take])
-            t -= take
-    return Matching(edges), cost
-
-
 def _reference_cluster_dp(tables, lo, hi):
     """_cluster_dp with every cluster's take axis running to max(hi),
     past the cluster's size, as it did before the axis was capped."""
@@ -162,6 +124,13 @@ def _reference_cluster_dp(tables, lo, hi):
 
 class TestRightOnlyDP:
     def test_matches_the_per_node_loop(self):
+        # The right-only route runs greedy's take rounds; the reference is
+        # an independent per-node dynamic program over per-cluster take
+        # counts.  Costs must agree on every trial.  Odd trials have
+        # integer weights, which tie often: there both answers are optimal
+        # but may differ, as the reference gives ties to the fewest taken
+        # and the take rounds to the lowest left index, so edges are
+        # compared on the untied trials only.
         rng = np.random.default_rng(1013)
         seen = {"zero demand": 0, "cluster below demand": 0, "k = 1": 0,
                 "tied weights": 0, "n = 1": 0}
@@ -178,10 +147,14 @@ class TestRightOnlyDP:
             bounds = DegreeBounds.broadcast(m, n, 0, n, r_lo, m)
             inst = Instance(weights, clusters, k, bounds)
             assert inst.right_only
-            matching, cost = exact._solve_right_constrained(inst)
+            rep = solve_diverse_exact(inst)
+            assert rep.status == OPTIMAL
+            assert rep.telemetry["fast_path"] is True
             ref_matching, ref_cost = _reference_right_dp(inst)
-            assert matching.edges == ref_matching.edges
-            assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+            assert rep.diversity_cost == pytest.approx(ref_cost, rel=1e-12,
+                                                       abs=0), trial
+            if trial % 2 == 0:
+                assert rep.matching.edges == ref_matching.edges, trial
             seen["zero demand"] += bool(np.any(r_lo == 0))
             sizes = np.bincount(clusters, minlength=k)
             seen["cluster below demand"] += bool(sizes.min() < r_lo.max())
@@ -223,18 +196,6 @@ class TestRightOnlyDP:
             seen["size past top"] += bool((sizes > top).any())
             seen["unreachable"] += bool(np.isinf(best).any())
         assert min(seen.values()) >= 60, seen
-
-    def test_unmeetable_demand_names_the_right_node(self):
-        # DegreeBounds rejects R_hi above m, so a stand-in with the fields
-        # the dynamic program reads carries R_lo[1] = 3 against two left
-        # nodes.
-        bounds = SimpleNamespace(l_lo=(0, 0), l_hi=(2, 2), r_lo=(1, 3),
-                                 r_hi=(2, 3))
-        inst = SimpleNamespace(weights=np.ones((2, 2)), m=2, n=2, k=2,
-                               clusters=np.array([0, 1]), bounds=bounds)
-        with pytest.raises(InternalError, match="right node 1 cannot meet "
-                                                "demand 3"):
-            exact._solve_right_constrained(inst)
 
 
 class TestSingleClusterReduction:
@@ -743,16 +704,26 @@ class TestPinnedSearch:
 
     def test_drifting_tracked_cost_raises(self, monkeypatch):
         # The search tracks an accepted leaf's cost by adding gains along
-        # its path; a gain off by a relative 1e-6 must trip the drift
-        # check against the fresh cost.  The search of SEARCHED[0]
-        # improves on the Lagrangian bound's primal, so a leaf is
-        # accepted.
-        gain = ClusterSums.gain
-        monkeypatch.setattr(ClusterSums, "gain",
-                            lambda self, i, j: gain(self, i, j) * (1 + 1e-6))
-        inst = gen_instance(searched_config(SEARCHED[0]))
-        with pytest.raises(InternalError, match="drifted"):
-            solve_diverse_exact(inst)
+        # its path, and the right-only route takes the take rounds' own
+        # cost; either off by a relative 1e-6 must trip the drift check
+        # against the fresh cost.  The search of SEARCHED[0] improves on
+        # the Lagrangian bound's primal, so a leaf is accepted.
+        gain, kernel = ClusterSums.gain, exact._per_right_node
+
+        def drifted(inst):
+            match, gain_evaluations, cost = kernel(inst)
+            return match, gain_evaluations, cost * (1 + 1e-6)
+        right_only = gen_instance(GeneratorConfig(
+            m=10, n=10, k=4, l_lo=0, l_hi=10, r_lo=5, seed=(7, 4, 0)))
+        assert right_only.right_only
+        for inst, owner, name, patch in (
+                (gen_instance(searched_config(SEARCHED[0])), ClusterSums,
+                 "gain", lambda self, i, j: gain(self, i, j) * (1 + 1e-6)),
+                (right_only, exact, "_per_right_node", drifted)):
+            with monkeypatch.context() as patched:
+                patched.setattr(owner, name, patch)
+                with pytest.raises(InternalError, match="drifted"):
+                    solve_diverse_exact(inst)
 
     def test_mixed_scale_weights_in_one_cluster_solve(self):
         # Heavy edges share a right node and cluster with light ones.  The

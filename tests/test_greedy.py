@@ -27,8 +27,8 @@ from divmatch import (
 from divmatch import greedy
 from divmatch._residual import Residual
 from divmatch.errors import InternalError
-from conftest import (benchmark_workloads, counting_feasible,
-                      dead_end_instance, random_instance)
+from conftest import (_reference_right_dp, benchmark_workloads,
+                      counting_feasible, dead_end_instance, random_instance)
 
 
 def spread_instance():
@@ -190,28 +190,29 @@ class TestFastPath:
         rng = np.random.default_rng(331)
         for _ in range(200):
             inst = random_instance(rng, right_constrained=True)
-            fast, fast_evals = greedy._per_right_node(inst)
+            fast, fast_evals, fast_cost = greedy._per_right_node(inst)
             slow, slow_evals, dead_end = greedy._round_based(inst)
             assert dead_end == ""
             assert fast.edges == slow.edges
             assert diversity_cost(inst, fast) == diversity_cost(inst, slow)
+            assert fast_cost == pytest.approx(diversity_cost(inst, fast),
+                                              rel=1e-12)
             assert fast_evals == slow_evals
             rep = solve_diverse_greedy(inst)
             assert rep.telemetry["fast_path"] is True
             assert rep.matching.edges == fast.edges
             assert rep.telemetry["gain_evaluations"] == fast_evals
 
-    # On right_only instances greedy is optimal.  Each right node's cost
-    # is separable and convex in its per-cluster take counts: the square
-    # of the sum of a cluster's t lightest members grows by more with each
-    # take, and within a cluster the lightest open member has the smallest
-    # gain, so the cheapest marginal pick is exact.
+    # On right_only instances greedy is optimal (greedy's module
+    # docstring says why), and the exact solver runs the same take
+    # rounds there, so the optimum comes from the independent per-node
+    # dynamic program in conftest.
 
     @staticmethod
     def assert_meets_exact(inst):
         assert inst.right_only
         cost = solve_diverse_greedy(inst).diversity_cost
-        optimum = solve_diverse_exact(inst).diversity_cost
+        optimum = _reference_right_dp(inst)[1]
         assert cost == pytest.approx(optimum, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("seed", [7, 1009])

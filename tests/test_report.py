@@ -34,9 +34,10 @@ class TestOutputCheck:
                      lambda net: (Matching(), 0), "min_weight",
                      id="min_weight"),
         pytest.param(solve_diverse_greedy, greedy, "_per_right_node",
-                     lambda inst: (Matching(), 0), "greedy", id="greedy"),
-        pytest.param(solve_diverse_exact, exact, "_solve_right_constrained",
-                     lambda inst: (Matching(), 0.0), "diverse_exact",
+                     lambda inst: (Matching(), 0, 0.0), "greedy",
+                     id="greedy"),
+        pytest.param(solve_diverse_exact, exact, "_per_right_node",
+                     lambda inst: (Matching(), 0, 0.0), "diverse_exact",
                      id="diverse_exact"),
     ])
     def test_violation_raises_naming_the_solver(self, monkeypatch, solve,
